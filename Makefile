@@ -9,9 +9,13 @@
 # the metrics endpoint. `make fleet-smoke` runs the distributed-fleet
 # self-tests: the easeio-worker kill/restart smoke (coordinator + TCP
 # workers, one killed mid-sweep) and the easeio-served HTTP smoke in
-# fleet delegation mode. `make fuzz` runs the fuzzers with a longer
-# budget for local exploration. `make ci` is the exact superset the CI
-# workflow gates merges on (check plus a one-iteration bench smoke).
+# fleet delegation mode. `make perfbench-smoke` runs the repository
+# benchmark's self-test (perfbench is its own module, so `make test`
+# never reaches it): a tiny run of every workload whose fleet results
+# must match the in-process engines byte for byte. `make fuzz` runs the
+# fuzzers with a longer budget for local exploration. `make ci` is the
+# exact superset the CI workflow gates merges on (check plus the
+# perfbench self-test and a one-iteration bench smoke).
 
 GO ?= go
 
@@ -23,7 +27,7 @@ FUZZTIME ?= 30s
 # is compiled and exercised without paying for stable numbers.
 BENCHTIME ?= 10x
 
-.PHONY: build test race vet fmt fmt-check bench bench-all bench-gate fuzz fuzz-smoke nested-smoke serve-smoke fleet-smoke check ci
+.PHONY: build test race vet fmt fmt-check bench bench-all bench-gate fuzz fuzz-smoke nested-smoke serve-smoke fleet-smoke perfbench-smoke check ci
 
 build:
 	$(GO) build ./...
@@ -73,6 +77,7 @@ bench-gate:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRuntimeKind$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime $(FUZZTIME) ./internal/dma
+	$(GO) test -run '^$$' -fuzz '^FuzzLEAKernels$$' -fuzztime $(FUZZTIME) ./internal/lea
 	$(GO) test -run '^$$' -fuzz '^FuzzLint$$' -fuzztime $(FUZZTIME) ./internal/frontend
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime $(FUZZTIME) ./internal/power
 	$(GO) test -run '^$$' -fuzz '^FuzzNestedScheduleEnumeration$$' -fuzztime $(FUZZTIME) ./internal/check
@@ -83,6 +88,7 @@ fuzz:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRuntimeKind$$' -fuzztime 3s .
 	$(GO) test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime 3s ./internal/dma
+	$(GO) test -run '^$$' -fuzz '^FuzzLEAKernels$$' -fuzztime 3s ./internal/lea
 	$(GO) test -run '^$$' -fuzz '^FuzzLint$$' -fuzztime 3s ./internal/frontend
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime 3s ./internal/power
 	$(GO) test -run '^$$' -fuzz '^FuzzNestedScheduleEnumeration$$' -fuzztime 3s ./internal/check
@@ -105,9 +111,13 @@ fleet-smoke:
 	$(GO) run ./cmd/easeio-worker -smoke
 	$(GO) run ./cmd/easeio-served -smoke -fleet -wal $$(mktemp -u /tmp/easeio-fleet-smoke.XXXXXX.wal)
 
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+
 check: build fmt-check vet test race fuzz-smoke nested-smoke serve-smoke fleet-smoke
 
 ci:
 	$(MAKE) check
+	$(MAKE) perfbench-smoke
 	$(MAKE) bench BENCHTIME=1x
 	$(MAKE) bench-gate

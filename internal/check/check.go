@@ -570,9 +570,8 @@ func (r *replayer) classify(dev *kernel.Device, rt kernel.Hooks, run *stats.Run,
 			div: &Divergence{Kind: "error", Detail: err.Error()}}
 	}
 
-	// Manual FNV-1a over the words' little-endian bytes — identical to
-	// feeding hash/fnv two bytes per word, without the per-word interface
-	// call (classify runs once per replayed point over every app word).
+	// Manual FNV-1a over the header fields' little-endian bytes; the
+	// memory words, which dominate, go through foldWords instead.
 	const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
 	h := uint64(fnvOffset)
 	put := func(w uint16) {
@@ -610,14 +609,18 @@ func (r *replayer) classify(dev *kernel.Device, rt kernel.Hooks, run *stats.Run,
 		if r.golden.sensed[i] {
 			continue
 		}
-		a := rt.AddrOf(v) // hoisted out of kernel.ReadVar's per-word path
-		for w := 0; w < v.Words; w++ {
-			got := dev.Mem.Read(a.Add(w))
-			put(got)
-			if want := r.golden.vars[i][w]; got != want && div == nil {
-				div = &Divergence{Kind: "memory", Detail: fmt.Sprintf(
-					"%s[%d] = %d, want %d", v.Name, w, got, want)}
-			}
+		// One span per variable: the words are the ones kernel.ReadVar
+		// would read one bounds-checked Read at a time, booked as the
+		// same v.Words reads.
+		s := dev.Mem.Span(rt.AddrOf(v), v.Words, "read")
+		want := r.golden.vars[i]
+		var diff uint64
+		h, diff = foldWords(h, s.Words, want)
+		s.Book(int64(v.Words), 0, 0)
+		if diff != 0 && div == nil {
+			w := firstDiff(s.Words, want)
+			div = &Divergence{Kind: "memory", Detail: fmt.Sprintf(
+				"%s[%d] = %d, want %d", v.Name, w, s.Words[w], want[w])}
 		}
 	}
 	switch {
@@ -646,6 +649,69 @@ func (r *replayer) classify(dev *kernel.Device, rt kernel.Hooks, run *stats.Run,
 		}
 	}
 	return outcome{evaluated: true, hash: h, div: div}
+}
+
+// foldWords folds got into the outcome hash h and returns the OR of
+// got XOR want over every word (zero exactly when got equals want). The
+// hash only has to separate outcomes — it is compared for equality in
+// memory, never stored — so instead of a byte-serial FNV chain (eight
+// dependent multiplies per four words) it folds 64-bit chunks of four
+// words through mix, in four independent lanes that merge at the end.
+// Every step is a bijection of its lane for a fixed chunk and the merge
+// is a bijection of each lane given the others, so two outcomes that
+// differ in a single chunk never collide. Variable lengths are fixed per
+// app, so the zero-padded tail chunk is unambiguous.
+func foldWords(h uint64, got, want []uint16) (uint64, uint64) {
+	var diff uint64
+	if len(got) >= 16 {
+		var l1, l2, l3 uint64
+		for len(got) >= 16 && len(want) >= 16 {
+			c0, c1, c2, c3 := chunk(got[0:4]), chunk(got[4:8]), chunk(got[8:12]), chunk(got[12:16])
+			diff |= (c0 ^ chunk(want[0:4])) | (c1 ^ chunk(want[4:8])) |
+				(c2 ^ chunk(want[8:12])) | (c3 ^ chunk(want[12:16]))
+			h, l1, l2, l3 = mix(h^c0), mix(l1^c1), mix(l2^c2), mix(l3^c3)
+			got, want = got[16:], want[16:]
+		}
+		h = mix(mix(mix(h^l1)^l2) ^ l3)
+	}
+	for len(got) > 0 && len(want) > 0 {
+		var c, g uint64
+		n := min(4, len(got), len(want))
+		for k := 0; k < n; k++ {
+			c |= uint64(got[k]) << (16 * k)
+			g |= uint64(want[k]) << (16 * k)
+		}
+		diff |= c ^ g
+		h = mix(h ^ c)
+		got, want = got[n:], want[n:]
+	}
+	return h, diff
+}
+
+// chunk packs four words little-endian into one 64-bit value (a single
+// load on little-endian targets).
+func chunk(w []uint16) uint64 {
+	_ = w[3]
+	return uint64(w[0]) | uint64(w[1])<<16 | uint64(w[2])<<32 | uint64(w[3])<<48
+}
+
+// mix is foldWords' step: a multiply by an odd constant (2^64/φ) and an
+// xor-shift that carries high-bit differences down into the bits later
+// multiplies spread. Both are bijections.
+func mix(h uint64) uint64 {
+	h *= 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
+// firstDiff returns the first index at which got and want differ; the
+// caller has established that they do.
+func firstDiff(got, want []uint16) int {
+	for w := range got {
+		if got[w] != want[w] {
+			return w
+		}
+	}
+	return len(got)
 }
 
 // sumWork totals the run's committed work buckets; with nothing pending

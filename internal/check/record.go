@@ -24,8 +24,12 @@ import (
 // checkpointBatch bounds how many checkpoints one recording pass
 // captures. Each batch costs one extra golden pass, which the replays it
 // feeds amortize many times over; the bound keeps peak memory
-// proportional to the batch, not the round.
-const checkpointBatch = 256
+// proportional to the batch, not the round. A checkpoint holds the app's
+// used memory prefix (20–40 KB for dma, depending on the runtime), so a
+// batch of 64 holds up to ~2.5 MB per in-flight exploration; at 256 the
+// batches of concurrent fleet jobs dominated a worker's resident set
+// without buying throughput.
+const checkpointBatch = 64
 
 // checkpoint pairs a device checkpoint with the runtime's volatile
 // state, both captured at the same charge-slice boundary.

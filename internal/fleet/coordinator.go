@@ -13,6 +13,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -148,7 +149,7 @@ type Coordinator struct {
 	mu    sync.Mutex
 	wal   *wal
 	jobs  map[uint64]*job
-	order []uint64 // submission order, the lease scan order
+	order []uint64 // unfinished jobs in submission order, the lease scan order
 	next  uint64
 }
 
@@ -272,7 +273,8 @@ func (c *Coordinator) replay(r record) {
 func (c *Coordinator) recover() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, id := range c.order {
+	// Finishing a job removes it from c.order, so walk a copy.
+	for _, id := range slices.Clone(c.order) {
 		j := c.jobs[id]
 		if j.finished {
 			continue
@@ -525,7 +527,7 @@ func (c *Coordinator) Lease(worker string) (task []byte, ok bool, err error) {
 	c.expireLocked(now)
 	for _, id := range c.order {
 		j := c.jobs[id]
-		if j.finished || !j.planned {
+		if !j.planned {
 			continue
 		}
 		for idx, sh := range j.shards {
@@ -581,11 +583,7 @@ func (c *Coordinator) encodeTask(j *job, idx int, sh *shardState) []byte {
 // byte-identical anyway.
 func (c *Coordinator) expireLocked(now time.Time) {
 	for _, id := range c.order {
-		j := c.jobs[id]
-		if j.finished {
-			continue
-		}
-		for _, sh := range j.shards {
+		for _, sh := range c.jobs[id].shards {
 			if sh.st == shardLeased && now.After(sh.leaseExpiry) {
 				sh.st = shardPending
 				if m := c.cfg.Metrics; m != nil {
@@ -808,7 +806,11 @@ func (c *Coordinator) mergeSubtreeJob(j *job, failures int) (*check.Report, erro
 	return np.Report(check.MergeSubtrees(parts)), nil
 }
 
-// finish applies a terminal state and wakes waiters.
+// finish applies a terminal state and wakes waiters. A finished job
+// keeps only what Wait, Progress and LeaseInfo report: its shard
+// results, pre-encoded tasks (subtree tasks embed root checkpoints) and
+// level-1 results are released, since replay, Lease and Complete all
+// skip finished jobs, and the job leaves the lease scan order.
 func (c *Coordinator) finish(j *job, res Result, err error) {
 	if j.finished {
 		return
@@ -817,6 +819,13 @@ func (c *Coordinator) finish(j *job, res Result, err error) {
 	j.result = res
 	j.err = err
 	j.remaining = 0
+	j.level1 = nil
+	for _, sh := range j.shards {
+		sh.payload, sh.task = nil, nil
+	}
+	if i := slices.Index(c.order, j.id); i >= 0 {
+		c.order = slices.Delete(c.order, i, i+1)
+	}
 	close(j.done)
 }
 

@@ -251,6 +251,65 @@ func TestFleetNestedCheckByteIdentity(t *testing.T) {
 	}
 }
 
+// TestFinishedJobReleasesShardBytes pins that a finished job stops
+// costing the coordinator memory: a subtree-sharded nested check keeps
+// no shard results, no pre-encoded subtree tasks (which embed root
+// checkpoints) and no level-1 results once merged, and leaves the lease
+// scan order — both live and after a WAL replay of the finished job.
+func TestFinishedJobReleasesShardBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.wal")
+	c, err := New(CoordinatorConfig{WALPath: path, Source: testApps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := startLoopback(t, c, 2)
+	id, err := c.Submit(Spec{
+		Mode: ModeCheck, App: "fig6", Runtime: experiments.Alpaca.String(),
+		Exhaustive: true, Failures: 2, Shards: 4, ShardWorkers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := waitResult(t, c, id)
+	stop()
+
+	assertReleased := func(c *Coordinator, when string) {
+		t.Helper()
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		j := c.jobs[id]
+		if len(j.shards) < 2 {
+			t.Fatalf("%s: job planned %d shards, want a subtree-sharded job", when, len(j.shards))
+		}
+		if j.level1 != nil {
+			t.Errorf("%s: finished job holds %d level-1 bytes", when, len(j.level1))
+		}
+		for i, sh := range j.shards {
+			if sh.payload != nil || sh.task != nil {
+				t.Errorf("%s: shard %d holds %d payload + %d task bytes", when, i, len(sh.payload), len(sh.task))
+			}
+		}
+		if len(c.order) != 0 {
+			t.Errorf("%s: lease scan order still lists %v", when, c.order)
+		}
+	}
+	assertReleased(c, "live")
+	c.Close()
+
+	c2, err := New(CoordinatorConfig{WALPath: path, Source: testApps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	assertReleased(c2, "replayed")
+	if got := waitResult(t, c2, id); got.Report.Render() != res.Report.Render() {
+		t.Errorf("replayed report differs from the live one:\n%s\nvs\n%s", got.Report.Render(), res.Report.Render())
+	}
+	if _, ok, err := c2.Lease("w0"); err != nil || ok {
+		t.Errorf("lease after replay of a finished job: ok=%v err=%v", ok, err)
+	}
+}
+
 // TestSpecValidation pins the planner's negative surface, including the
 // nested-failure depth bounds shared with the CLI and the service.
 func TestSpecValidation(t *testing.T) {

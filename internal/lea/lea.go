@@ -14,11 +14,12 @@ import "easeio/internal/mem"
 
 func leaAddr(off int) mem.Addr { return mem.Addr{Bank: mem.LEARAM, Word: off} }
 
-// readS16 reads an int16 sample from LEA-RAM.
-func readS16(m *mem.Memory, off int) int16 { return int16(m.Read(leaAddr(off))) }
-
-// writeS16 writes an int16 sample to LEA-RAM.
-func writeS16(m *mem.Memory, off int, v int16) { m.Write(leaAddr(off), uint16(v)) }
+// Every kernel takes its LEA-RAM windows as mem spans, all validated
+// before the first word is touched, so an out-of-range command panics
+// with mem's range error and LEA-RAM unchanged. The loops then run over
+// the backing words and book the whole command's accesses at once:
+// exactly the reads, writes and high-water a per-word Read/Write loop
+// would have counted.
 
 // sat16 saturates an accumulator to int16, as the LEA's fixed-point
 // pipeline does.
@@ -51,16 +52,43 @@ func sat32(v int64) int32 {
 //
 // using Q15 fixed-point coefficients, mirroring the LEA's FIR command.
 func Fir(m *mem.Memory, inOff, coefOff, outOff, inLen, taps int) {
-	if taps <= 0 || inLen < taps {
+	outs := FirOutLen(inLen, taps)
+	if outs == 0 {
 		return
 	}
-	for i := 0; i <= inLen-taps; i++ {
-		var acc int64
-		for j := 0; j < taps; j++ {
-			acc += int64(readS16(m, inOff+i+j)) * int64(readS16(m, coefOff+j))
-		}
-		writeS16(m, outOff+i, sat16(acc>>15))
+	in := m.Span(leaAddr(inOff), inLen, "read")
+	coef := m.Span(leaAddr(coefOff), taps, "read")
+	out := m.Span(leaAddr(outOff), outs, "write")
+	// Output i is stored before input window i+1 is read, as the per-word
+	// command does, so overlapping windows see the same values.
+	c := coef.Words
+	for i := range out.Words {
+		x := in.Words[i : i+taps]
+		out.Words[i] = uint16(sat16(dot16(x, c) >> 15))
 	}
+	n := int64(outs) * int64(taps)
+	in.Book(n, 0, 0)
+	coef.Book(n, 0, 0)
+	out.Book(0, int64(outs), outs)
+}
+
+// dot16 returns the exact int64 dot product of two equal-length int16
+// vectors. The four accumulators reorder an integer sum, which cannot
+// change it (|term| < 2^30, so no realistic length overflows int64).
+func dot16(a, b []uint16) int64 {
+	var s0, s1, s2, s3 int64
+	for len(a) >= 4 && len(b) >= 4 {
+		s0 += int64(int16(a[0])) * int64(int16(b[0]))
+		s1 += int64(int16(a[1])) * int64(int16(b[1]))
+		s2 += int64(int16(a[2])) * int64(int16(b[2]))
+		s3 += int64(int16(a[3])) * int64(int16(b[3]))
+		a, b = a[4:], b[4:]
+	}
+	b = b[:len(a)]
+	for i, x := range a {
+		s0 += int64(int16(x)) * int64(int16(b[i]))
+	}
+	return s0 + s1 + s2 + s3
 }
 
 // FirOutLen returns the number of output samples Fir produces.
@@ -73,20 +101,33 @@ func FirOutLen(inLen, taps int) int {
 
 // Relu clamps n int16 samples at LEA-RAM offset off to be non-negative.
 func Relu(m *mem.Memory, off, n int) {
-	for i := 0; i < n; i++ {
-		if readS16(m, off+i) < 0 {
-			writeS16(m, off+i, 0)
+	if n <= 0 {
+		return
+	}
+	v := m.Span(leaAddr(off), n, "read")
+	var clamped int64
+	written := 0
+	for i, w := range v.Words {
+		if int16(w) < 0 {
+			v.Words[i] = 0
+			clamped++
+			written = i + 1
 		}
 	}
+	v.Book(int64(n), clamped, written)
 }
 
 // Dot returns the int32 dot product of two n-sample int16 vectors in
 // LEA-RAM.
 func Dot(m *mem.Memory, aOff, bOff, n int) int32 {
-	var acc int64
-	for i := 0; i < n; i++ {
-		acc += int64(readS16(m, aOff+i)) * int64(readS16(m, bOff+i))
+	if n <= 0 {
+		return 0
 	}
+	a := m.Span(leaAddr(aOff), n, "read")
+	b := m.Span(leaAddr(bOff), n, "read")
+	acc := dot16(a.Words, b.Words)
+	a.Book(int64(n), 0, 0)
+	b.Book(int64(n), 0, 0)
 	return sat32(acc)
 }
 

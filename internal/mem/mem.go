@@ -285,6 +285,60 @@ func (w *CopyWindow) MoveN(i, n int) {
 	copy(w.dst[i:i+n], w.src[i:i+n])
 }
 
+// Span is a pre-validated window over a word range of one bank, for
+// whole-command loops (an LEA vector command, the checker's scan of a
+// result variable). The contract:
+//
+//   - Bounds are checked once per command, when the span is taken, with
+//     the same panic text as a per-word Read or Write of the first
+//     offending end. A command that validates all its spans before it
+//     touches Words therefore either panics with memory untouched or
+//     runs to completion.
+//   - Words aliases the bank's backing store. Loads and stores through it
+//     are not counted; the caller books the command's reads, writes and
+//     high-water in one Book call after the loop, with exactly the totals
+//     the equivalent per-word Read/Write sequence would have counted.
+//   - A span is invalidated by anything that reallocates the memory
+//     (nothing does after New).
+type Span struct {
+	Words []uint16
+	m     *Memory
+	bank  Bank
+	base  int
+}
+
+// Span validates the n-word range at a for the named access ("read" or
+// "write", as in the per-word panic text) and returns a span over it.
+// The first word is checked even when n is 0, as View does; a range
+// running past the bank names the first word past it, the word a
+// per-word loop would have failed on.
+func (m *Memory) Span(a Addr, n int, what string) Span {
+	m.check(a, what)
+	if uint(n) > uint(len(m.banks[a.Bank])-a.Word) {
+		m.spanFail(a, n, what)
+	}
+	return Span{Words: m.banks[a.Bank][a.Word : a.Word+n], m: m, bank: a.Bank, base: a.Word}
+}
+
+func (m *Memory) spanFail(a Addr, n int, what string) {
+	if n < 0 {
+		panic(fmt.Sprintf("mem: negative %s span at %s (%d words)", what, a, n))
+	}
+	m.checkFail(Addr{a.Bank, len(m.banks[a.Bank])}, what)
+}
+
+// Book counts reads and writes against the span's bank and raises the
+// bank's high-water mark over the span's first written words (1 + the
+// highest span offset written; 0 when nothing was written).
+func (s Span) Book(reads, writes int64, written int) {
+	c := &s.m.counts[s.bank]
+	c.Reads += reads
+	c.Writes += writes
+	if hw := s.base + written; written > 0 && hw > s.m.highWater[s.bank] {
+		s.m.highWater[s.bank] = hw
+	}
+}
+
 // ReadView is a pre-validated read-only view of a word range, for tight
 // scan loops (the output checker reads every word of every result
 // variable once per run). At counts one read per call, identical to
@@ -296,11 +350,8 @@ type ReadView struct {
 
 // View validates the n-word range at a and returns a read view of it.
 func (m *Memory) View(a Addr, n int) ReadView {
-	m.check(a, "read")
-	if n > 0 {
-		m.check(a.Add(n-1), "read")
-	}
-	return ReadView{words: m.banks[a.Bank][a.Word : a.Word+n], reads: &m.counts[a.Bank].Reads}
+	s := m.Span(a, n, "read")
+	return ReadView{words: s.Words, reads: &m.counts[a.Bank].Reads}
 }
 
 // At returns word i of the view and counts the read.

@@ -187,6 +187,55 @@ func TestHighWater(t *testing.T) {
 	}
 }
 
+// TestSpanContract pins Span's bounds checks (the per-word panic text,
+// naming the first offending word) and Book's bulk counting.
+func TestSpanContract(t *testing.T) {
+	m := New()
+	end := m.Size(LEARAM)
+	for _, tc := range []struct {
+		a    Addr
+		n    int
+		what string
+		want string
+	}{
+		{Addr{LEARAM, end - 2}, 3, "read", "mem: read out of range: LEA-RAM+0x0800"},
+		{Addr{LEARAM, end}, 0, "write", "mem: write out of range: LEA-RAM+0x0800"},
+		{Addr{LEARAM, -1}, 4, "read", "mem: read out of range: LEA-RAM+0x-001"},
+		{Addr{LEARAM, 5}, -1, "read", "mem: negative read span at LEA-RAM+0x0005 (-1 words)"},
+		{Addr{Bank(9), 0}, 1, "read", "mem: read of invalid bank 9"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("Span(%v, %d): panic %v, want %q", tc.a, tc.n, got, tc.want)
+				}
+			}()
+			m.Span(tc.a, tc.n, tc.what)
+		}()
+	}
+
+	s := m.Span(Addr{LEARAM, end - 4}, 4, "write")
+	if len(s.Words) != 4 {
+		t.Fatalf("span of %d words", len(s.Words))
+	}
+	s.Words[1] = 7
+	if m.Read(Addr{LEARAM, end - 3}) != 7 {
+		t.Error("span words do not alias the bank")
+	}
+	s.Book(10, 2, 2)
+	if c := m.Counts(LEARAM); c.Reads != 11 || c.Writes != 2 {
+		t.Errorf("counts after Book = %+v, want 11 reads (10 booked + 1 Read), 2 writes", c)
+	}
+	if hw := m.HighWater(LEARAM); hw != end-2 {
+		t.Errorf("high water = %d, want %d", hw, end-2)
+	}
+	s.Book(0, 0, 0) // nothing written: the mark never moves down
+	m.Span(Addr{LEARAM, 0}, 1, "write").Book(0, 1, 1)
+	if hw := m.HighWater(LEARAM); hw != end-2 {
+		t.Errorf("high water = %d after lower writes, want %d", hw, end-2)
+	}
+}
+
 // TestPersistenceProperty checks the core intermittence invariant with
 // random workloads: after a power failure, a word survives exactly when it
 // lives in FRAM.
