@@ -1,6 +1,7 @@
 # Developer entry points. `make check` is the pre-commit gauntlet — the
-# same stages CI runs: gofmt drift, vet, the full suite with a shuffled
-# test order, the concurrency-sensitive packages (the sweep engine, the
+# same stages CI runs: gofmt drift, vet (also for arm64, `make
+# portable`), the full suite with a shuffled test order, the
+# concurrency-sensitive packages (the sweep engine, the
 # core runtimes, the failure-point checker, the kernel's device-reuse
 # path, the sweep service and the public facade) under the race
 # detector, and a short fuzz smoke over the native fuzz targets.
@@ -27,7 +28,7 @@ FUZZTIME ?= 30s
 # is compiled and exercised without paying for stable numbers.
 BENCHTIME ?= 10x
 
-.PHONY: build test race vet fmt fmt-check bench bench-all bench-gate fuzz fuzz-smoke nested-smoke serve-smoke fleet-smoke perfbench-smoke check ci
+.PHONY: build test race vet portable fmt fmt-check bench bench-all bench-gate fuzz fuzz-smoke nested-smoke serve-smoke fleet-smoke perfbench-smoke check ci
 
 build:
 	$(GO) build ./...
@@ -37,6 +38,13 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Vets and builds the tree for arm64, so the portable (non-amd64) path
+# of the assembly-backed packages keeps compiling; on amd64, `make vet`
+# already runs asmdecl over the assembly itself.
+portable:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
 
 fmt:
 	gofmt -w .
@@ -114,7 +122,7 @@ fleet-smoke:
 perfbench-smoke:
 	cd perfbench && $(GO) test ./...
 
-check: build fmt-check vet test race fuzz-smoke nested-smoke serve-smoke fleet-smoke
+check: build fmt-check vet portable test race fuzz-smoke nested-smoke serve-smoke fleet-smoke
 
 ci:
 	$(MAKE) check

@@ -136,9 +136,12 @@ type job struct {
 	firstLease time.Time // zero until the first shard lease
 
 	finished bool
-	result   Result
-	err      error
-	done     chan struct{} // closed when finished
+	// result is the finished job's outcome; a check job's report is
+	// kept only packed (wire.PackReport) in report, and Wait decodes it.
+	result Result
+	report []byte
+	err    error
+	done   chan struct{} // closed when finished
 }
 
 // Coordinator is the fleet's job manager. All methods are safe for
@@ -810,12 +813,17 @@ func (c *Coordinator) mergeSubtreeJob(j *job, failures int) (*check.Report, erro
 // keeps only what Wait, Progress and LeaseInfo report: its shard
 // results, pre-encoded tasks (subtree tasks embed root checkpoints) and
 // level-1 results are released, since replay, Lease and Complete all
-// skip finished jobs, and the job leaves the lease scan order.
+// skip finished jobs, and the job leaves the lease scan order. A check
+// report is kept packed, not decoded.
 func (c *Coordinator) finish(j *job, res Result, err error) {
 	if j.finished {
 		return
 	}
 	j.finished = true
+	if res.Report != nil {
+		j.report = wire.PackReport(res.Report)
+		res.Report = nil
+	}
 	j.result = res
 	j.err = err
 	j.remaining = 0
@@ -849,8 +857,15 @@ func (c *Coordinator) Wait(ctx context.Context, id uint64) (Result, error) {
 		select {
 		case <-j.done:
 			c.mu.Lock()
-			res, err := j.result, j.err
+			res, packed, err := j.result, j.report, j.err
 			c.mu.Unlock()
+			if packed != nil {
+				rep, uerr := wire.UnpackReport(packed)
+				if uerr != nil {
+					return Result{}, fmt.Errorf("fleet: job %d: unpacking its report: %w", id, uerr)
+				}
+				res.Report = rep
+			}
 			return res, err
 		case <-ctx.Done():
 			return Result{}, ctx.Err()

@@ -87,12 +87,35 @@ func (c *Ctx) Charge(dt time.Duration, e units.Energy, overhead bool) {
 	// precisely dt and e), and timer/schedule supply steps are pure
 	// on-time comparisons, so clock, ledger and failure behavior land
 	// byte-identical to the sliced loop.
+	//
+	// When the failure point lies inside the charge, the (head−1)/slice
+	// whole slices before it all end strictly short of it, so the supply
+	// steps they would take cannot fire: run their energy recurrence
+	// arithmetically, book them in one add, and step only the rest.
 	if dt > chargeSlice && d.Cuts == nil {
-		if head, known := c.failureHead(); known && dt < head {
-			c.BulkCharge(dt, e, overhead)
-			return
+		if head, known := c.failureHead(); known {
+			if dt < head {
+				c.BulkCharge(dt, e, overhead)
+				return
+			}
+			if k := (head - 1) / chargeSlice; k > 0 {
+				var be units.Energy
+				for i := time.Duration(0); i < k; i++ {
+					se := units.Energy(int64(e) * int64(chargeSlice) / int64(dt))
+					e -= se
+					dt -= chargeSlice
+					be += se
+				}
+				c.BulkCharge(k*chargeSlice, be, overhead)
+			}
 		}
 	}
+	c.chargeSliced(d, dt, e, overhead)
+}
+
+// chargeSliced charges (dt, e) one slice at a time, pro-rating the
+// energy, so a failure lands on the slice that reaches it.
+func (c *Ctx) chargeSliced(d *Device, dt time.Duration, e units.Energy, overhead bool) {
 	for dt > 0 {
 		step := dt
 		if step > chargeSlice {

@@ -59,17 +59,46 @@ func Fir(m *mem.Memory, inOff, coefOff, outOff, inLen, taps int) {
 	in := m.Span(leaAddr(inOff), inLen, "read")
 	coef := m.Span(leaAddr(coefOff), taps, "read")
 	out := m.Span(leaAddr(outOff), outs, "write")
-	// Output i is stored before input window i+1 is read, as the per-word
-	// command does, so overlapping windows see the same values.
-	c := coef.Words
-	for i := range out.Words {
-		x := in.Words[i : i+taps]
-		out.Words[i] = uint16(sat16(dot16(x, c) >> 15))
-	}
+	firMAC(out.Words, in.Words, coef.Words, firFast(coefOff, outOff, outs, coef.Words))
 	n := int64(outs) * int64(taps)
 	in.Book(n, 0, 0)
 	coef.Book(n, 0, 0)
 	out.Book(0, int64(outs), outs)
+}
+
+// firGo is the portable FIR loop over validated windows: out[i] from
+// in[i:i+len(coef)]. Output i is stored before input window i+1 is read,
+// as the per-word command does, so overlapping windows see the same
+// values.
+func firGo(out, in, coef []uint16) {
+	taps := len(coef)
+	for i := range out {
+		out[i] = uint16(sat16(dot16(in[i:i+taps], coef) >> 15))
+	}
+}
+
+// firCoefBound is the exclusive bound on Σ|coef| under which the vector
+// FIR's int32 lanes are exact: every partial sum of coef·x is then at
+// most 65535·32768 = 2^31 − 32768 in magnitude, for any input.
+const firCoefBound = 1 << 16
+
+// firFast reports whether an outs-output FIR command may take the vector
+// path: whole 8-tap blocks, an output window disjoint from the
+// coefficient window (so the coefficients, and their bound, cannot
+// change mid-command), and Σ|coef| < firCoefBound. Input and output
+// windows may overlap; the vector kernel stores each output before it
+// reads the next window, as firGo does.
+func firFast(coefOff, outOff, outs int, coef []uint16) bool {
+	taps := len(coef)
+	if taps%8 != 0 || outOff < coefOff+taps && coefOff < outOff+outs {
+		return false
+	}
+	sum := 0
+	for _, c := range coef {
+		v := int(int16(c))
+		sum += max(v, -v)
+	}
+	return sum < firCoefBound
 }
 
 // dot16 returns the exact int64 dot product of two equal-length int16
@@ -125,7 +154,7 @@ func Dot(m *mem.Memory, aOff, bOff, n int) int32 {
 	}
 	a := m.Span(leaAddr(aOff), n, "read")
 	b := m.Span(leaAddr(bOff), n, "read")
-	acc := dot16(a.Words, b.Words)
+	acc := dotMAC(a.Words, b.Words)
 	a.Book(int64(n), 0, 0)
 	b.Book(int64(n), 0, 0)
 	return sat32(acc)

@@ -61,10 +61,38 @@ type leaCmd struct {
 	a, b, c int
 	n, taps int
 	fill    int64 // seeds the LEA-RAM contents
+	// load lists windows stored over the seeded contents, in order,
+	// before the command runs.
+	load []window
+}
+
+// window is a run of samples at a LEA-RAM word offset.
+type window struct {
+	off  int
+	vals []int16
 }
 
 func (c leaCmd) String() string {
-	return fmt.Sprintf("op=%d a=%d b=%d c=%d n=%d taps=%d fill=%d", c.op, c.a, c.b, c.c, c.n, c.taps, c.fill)
+	s := fmt.Sprintf("op=%d a=%d b=%d c=%d n=%d taps=%d fill=%d", c.op, c.a, c.b, c.c, c.n, c.taps, c.fill)
+	for _, w := range c.load {
+		s += fmt.Sprintf(" load@%d=%v", w.off, w.vals)
+	}
+	return s
+}
+
+// memory returns the command's starting memory: filledMemory(fill) with
+// the load windows stored over it, unbooked and clipped to LEA-RAM.
+func (c leaCmd) memory() *mem.Memory {
+	m := filledMemory(c.fill)
+	all := m.Span(leaAddr(0), mem.LEARAMWords, "write").Words
+	for _, w := range c.load {
+		for i, v := range w.vals {
+			if o := w.off + i; o >= 0 && o < len(all) {
+				all[o] = uint16(v)
+			}
+		}
+	}
+	return m
 }
 
 // run executes the command with either implementation, recovering a
@@ -118,7 +146,7 @@ func filledMemory(fill int64) *mem.Memory {
 // and fails t on any observable difference.
 func diffKernel(t *testing.T, cmd leaCmd) {
 	t.Helper()
-	span, word := filledMemory(cmd.fill), filledMemory(cmd.fill)
+	span, word := cmd.memory(), cmd.memory()
 	before := span.Snapshot(mem.LEARAM)
 	beforeCounts, beforeHW := span.Counts(mem.LEARAM), span.HighWater(mem.LEARAM)
 
@@ -233,13 +261,21 @@ func TestKernelsOutOfRangeLeaveLEARAMUntouched(t *testing.T) {
 }
 
 // FuzzLEAKernels drives the differential check with arbitrary windows.
+// A positive coefSum turns a Fir command into the bounded-coefficient
+// mode: taps round up to whole 8-tap blocks and the coefficient window
+// holds seeded coefficients with Σ|c| = min(coefSum, 65536), so the
+// vector path runs whenever the output window misses the coefficients
+// (65536 itself must fall back to the Go loop).
 func FuzzLEAKernels(f *testing.F) {
-	f.Add(byte(0), 0, 200, 400, 40, 8, int64(1))
-	f.Add(byte(0), 100, 300, 101, 40, 5, int64(2))
-	f.Add(byte(1), 2040, 0, 0, 16, 0, int64(3))
-	f.Add(byte(2), 50, 53, 0, 64, 0, int64(4))
-	f.Add(byte(2), -1, 0, 0, 1, 0, int64(5))
-	f.Fuzz(func(t *testing.T, op byte, a, b, c, n, taps int, fill int64) {
+	f.Add(byte(0), 0, 200, 400, 40, 8, int64(1), 0)
+	f.Add(byte(0), 100, 300, 101, 40, 5, int64(2), 0)
+	f.Add(byte(1), 2040, 0, 0, 16, 0, int64(3), 0)
+	f.Add(byte(2), 50, 53, 0, 64, 0, int64(4), 0)
+	f.Add(byte(2), -1, 0, 0, 1, 0, int64(5), 0)
+	f.Add(byte(0), 0, 200, 400, 80, 16, int64(6), 65535)
+	f.Add(byte(0), 100, 300, 101, 72, 32, int64(7), 40000)
+	f.Add(byte(0), 0, 200, 400, 40, 8, int64(8), 65536)
+	f.Fuzz(func(t *testing.T, op byte, a, b, c, n, taps int, fill int64, coefSum int) {
 		// Keep windows near the bank so runs stay cheap; the range
 		// logic only cares about the ends.
 		clamp := func(v, lo, hi int) int { return min(max(v, lo), hi) }
@@ -247,6 +283,11 @@ func FuzzLEAKernels(f *testing.F) {
 			a: clamp(a, -64, mem.LEARAMWords+64), b: clamp(b, -64, mem.LEARAMWords+64),
 			c: clamp(c, -64, mem.LEARAMWords+64),
 			n: clamp(n, -4, 256), taps: clamp(taps, -4, 64), fill: fill}
+		if cmd.op == 0 && coefSum > 0 {
+			cmd.taps = 8 * (1 + clamp(cmd.taps, 0, 63)/8)
+			coefs := boundedCoefs(rand.New(rand.NewSource(fill)), cmd.taps, min(coefSum, 1<<16))
+			cmd.load = []window{{cmd.b, coefs}}
+		}
 		diffKernel(t, cmd)
 	})
 }

@@ -11,8 +11,10 @@
 package mem
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
+	"unsafe"
 )
 
 // Bank identifies one of the device's memory banks.
@@ -521,12 +523,14 @@ func (m *Memory) EqualRange(a Addr, want []uint16) bool {
 		return false
 	}
 	got := m.banks[a.Bank][a.Word : a.Word+len(want)]
-	for i := range want {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
+	return bytes.Equal(wordBytes(got), wordBytes(want))
+}
+
+// wordBytes views w's words as their 2·len(w) bytes in memory, so word
+// ranges compare through the runtime's vectorised memequal: two word
+// slices are equal exactly when their byte views are.
+func wordBytes(w []uint16) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(w))), 2*len(w))
 }
 
 // NumBanks is the number of modeled memory banks, exported for

@@ -169,6 +169,30 @@ func TestEqualRange(t *testing.T) {
 	if m.EqualRange(Addr{FRAM, m.Size(FRAM) - 1}, []uint16{0, 0}) {
 		t.Error("EqualRange out of range should be false")
 	}
+	if !m.EqualRange(Addr{FRAM, m.Size(FRAM)}, nil) {
+		t.Error("EqualRange of an empty range at the bank end should be true")
+	}
+	// A difference in either byte of any one word, at every position of
+	// ranges long enough for the byte compare's vector loop, is found.
+	want := make([]uint16, 67)
+	for i := range want {
+		want[i] = uint16(0x0101 * (i + 1))
+	}
+	m.WriteBlock(Addr{FRAM, 100}, want, len(want))
+	for n := 0; n <= len(want); n++ {
+		if !m.EqualRange(Addr{FRAM, 100}, want[:n]) {
+			t.Fatalf("EqualRange false negative over %d words", n)
+		}
+	}
+	for i := range want {
+		for _, flip := range []uint16{0x0001, 0x0100} {
+			w := append([]uint16(nil), want...)
+			w[i] ^= flip
+			if m.EqualRange(Addr{FRAM, 100}, w) {
+				t.Fatalf("EqualRange missed word %d differing by %#04x", i, flip)
+			}
+		}
+	}
 }
 
 func TestHighWater(t *testing.T) {

@@ -20,6 +20,7 @@ import (
 	"easeio/internal/experiments"
 	"easeio/internal/fleet"
 	"easeio/internal/stats"
+	"easeio/internal/wire"
 )
 
 // State is a job's lifecycle stage.
@@ -127,9 +128,12 @@ type Job struct {
 	// in-process jobs keep the submission-anchored context deadline).
 	timeout time.Duration
 
-	mu        sync.Mutex
-	summary   stats.Summary
-	report    *check.Report
+	mu      sync.Mutex
+	summary stats.Summary
+	// report is a check job's report, packed (wire.PackReport): a
+	// finished job keeps only this compact form and Status decodes it on
+	// every read.
+	report    []byte
 	errMsg    string
 	submitted time.Time
 	started   time.Time
@@ -205,6 +209,20 @@ type Status struct {
 
 // Status snapshots the job for the HTTP surface.
 func (j *Job) Status() Status {
+	out, packed := j.status()
+	if packed != nil {
+		rep, err := wire.UnpackReport(packed)
+		if err != nil {
+			panic(fmt.Sprintf("service: job %d: unpacking its own report: %v", j.ID, err))
+		}
+		out.Check = rep
+	}
+	return out
+}
+
+// status snapshots everything but the check report, returning the
+// packed report for the caller to decode outside the lock.
+func (j *Job) status() (Status, []byte) {
 	st := j.State()
 	done, total := j.Progress()
 	j.mu.Lock()
@@ -234,8 +252,7 @@ func (j *Job) Status() Status {
 		s := j.summary
 		out.Summary = &s
 	}
-	out.Check = j.report
-	return out
+	return out, j.report
 }
 
 // Manager owns the job queue and its worker pool.
@@ -684,8 +701,9 @@ func (m *Manager) runFleetJob(j *Job) {
 		m.metrics.CheckPoints.Add(int64(res.Report.Explored))
 		m.metrics.CheckDivergences.Add(int64(len(res.Report.Divergences)))
 		m.metrics.NoteCheckReport(res.Report)
+		packed := wire.PackReport(res.Report)
 		j.mu.Lock()
-		j.report = res.Report
+		j.report = packed
 		j.mu.Unlock()
 		m.metrics.JobsCompleted.Add(1)
 		j.finalize(Succeeded, stats.Summary{}, "")
@@ -775,8 +793,9 @@ func (m *Manager) runCheckJob(j *Job) {
 	if rep != nil {
 		m.metrics.CheckDivergences.Add(int64(len(rep.Divergences)))
 		m.metrics.NoteCheckReport(rep)
+		packed := wire.PackReport(rep)
 		j.mu.Lock()
-		j.report = rep
+		j.report = packed
 		j.mu.Unlock()
 	}
 	switch {
