@@ -92,6 +92,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeShard$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSubtreeShard$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime $(FUZZTIME) ./internal/fleet
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRuntimeKind$$' -fuzztime 3s .
@@ -103,6 +104,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRoundTrip$$' -fuzztime 3s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeShard$$' -fuzztime 3s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSubtreeShard$$' -fuzztime 3s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime 3s ./internal/fleet
 
 # k=2 nested-failure smoke: fig6 must stay divergence-free under
 # failure-during-recovery schedules for the runtimes the paper claims

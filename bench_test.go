@@ -330,31 +330,47 @@ func BenchmarkAblationValuePrivatization(b *testing.B) {
 }
 
 // BenchmarkSweepThroughput compares the sweep engine's pooled
-// device-reuse path against the lockstep-batched and legacy
-// rebuild-per-run paths on the DMA bench, reporting runs per second and
-// heap allocations per run. All paths run single-worker so the
-// comparison isolates per-run setup cost rather than scheduling, and the
-// copy is shortened from the default so that per-word simulation work
-// does not drown the setup cost the benchmark exists to measure.
+// device-reuse path against rebuilding the app, device and runtime for
+// every seed (experiments.RunOne per seed — the engine's predecessor,
+// kept as the BENCH_sweep.json baseline) on the DMA bench, reporting
+// runs per second and heap allocations per run. Both paths run
+// single-worker so the comparison isolates per-run setup cost rather
+// than scheduling, and the copy is shortened from the default so that
+// per-word simulation work does not drown the setup cost the benchmark
+// exists to measure.
 func BenchmarkSweepThroughput(b *testing.B) {
 	const sweep = 32
 	dmaCfg := apps.DefaultDMAConfig()
 	dmaCfg.Words = 1000
 	dmaApp := func() (*apps.Bench, error) { return apps.NewDMAApp(dmaCfg) }
+	cfg := experiments.Config{Runs: sweep, BaseSeed: 1, Workers: 1}
+	rebuild := func() error {
+		agg := stats.NewAggregator()
+		for seed := cfg.BaseSeed; seed < cfg.BaseSeed+sweep; seed++ {
+			run, err := experiments.RunOne(dmaApp, experiments.EaseIO, experiments.TimerSupply(), seed)
+			if err != nil {
+				return err
+			}
+			agg.Add(run)
+		}
+		agg.Summary()
+		return nil
+	}
+	pooled := func() error {
+		_, err := experiments.RunMany(cfg, dmaApp, experiments.EaseIO)
+		return err
+	}
 	for _, mode := range []struct {
-		name    string
-		rebuild bool
-		batch   int
-	}{{"pooled", false, 0}, {"batched", false, 8}, {"rebuild", true, 0}} {
+		name  string
+		sweep func() error
+	}{{"pooled", pooled}, {"rebuild", rebuild}} {
 		b.Run(mode.name, func(b *testing.B) {
-			cfg := experiments.Config{Runs: sweep, BaseSeed: 1, Workers: 1,
-				Rebuild: mode.rebuild, Batch: mode.batch}
 			var ms0, ms1 runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&ms0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.RunMany(cfg, dmaApp, experiments.EaseIO); err != nil {
+				if err := mode.sweep(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -394,7 +410,7 @@ func BenchmarkCheckThroughput(b *testing.B) {
 				name = tc.app + "/fromboot"
 			}
 			b.Run(name, func(b *testing.B) {
-				cfg := check.Config{Exhaustive: true, Workers: 1, FromBoot: fromBoot}
+				cfg := check.Config{Workers: 1, FromBoot: fromBoot}
 				points := 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

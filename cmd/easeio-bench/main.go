@@ -192,7 +192,7 @@ func main() {
 				{Name: "lea", New: func() (*apps.Bench, error) { return apps.NewLEAApp(apps.DefaultLEAConfig()) }},
 			}
 			kinds := []experiments.RuntimeKind{experiments.EaseIO, experiments.JustDo}
-			reports, err := check.Matrix(ctx, targets, kinds, check.Config{Seed: *seed, Grid: 64})
+			reports, err := check.Matrix(ctx, targets, kinds, check.Config{Seed: *seed})
 			fail(err)
 			fmt.Println(check.RenderMatrix(reports))
 			for _, rep := range reports {

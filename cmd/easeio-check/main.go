@@ -1,13 +1,16 @@
 // Command easeio-check model-checks crash consistency: it enumerates
 // every charge-slice boundary of a golden continuous-power run, replays
-// the app with a single power failure injected at each explored boundary,
-// and differentially compares final non-volatile memory, the output
+// the app with a single power failure injected at each boundary, and
+// differentially compares final non-volatile memory, the output
 // verdict and the work ledger against the golden run.
 //
 // Usage:
 //
-//	easeio-check [-app NAME|all] [-runtime NAME|all] [-k N] [-exhaustive]
-//	             [-grid N] [-seed S] [-off D] [-workers N] [-fromboot] [-broken]
+//	easeio-check [-app NAME|all] [-runtime NAME|all] [-k N]
+//	             [-seed S] [-off D] [-workers N] [-fromboot] [-broken]
+//
+// Every candidate failure point is replayed; -exhaustive is still
+// accepted, as a no-op, so existing scripts keep working.
 //
 // Replays restore golden-prefix checkpoints and simulate only the
 // post-failure suffix by default; -fromboot re-simulates every replay
@@ -45,30 +48,27 @@ import (
 
 func main() {
 	var (
-		app        = flag.String("app", "fig6", "blueprint to check (a registered name, \"fig6\", or \"all\")")
-		runtimeF   = flag.String("runtime", "EaseIO", "runtime to check (Alpaca, InK, EaseIO, JustDo, or \"all\")")
-		failures   = flag.Int("k", 1, fmt.Sprintf("failures per schedule: k > 1 explores failure-during-recovery (max %d)", check.MaxFailures))
-		exhaustive = flag.Bool("exhaustive", false, "replay every candidate failure point (sound mode)")
-		grid       = flag.Int("grid", 128, "coarse grid size of the adaptive exploration")
-		seed       = flag.Int64("seed", 0, "seed for the golden run and every replay")
-		off        = flag.Duration("off", time.Millisecond, "recharge duration of the injected failure")
-		workers    = flag.Int("workers", 0, "parallel replays (0 = GOMAXPROCS); results are worker-invariant")
-		fromBoot   = flag.Bool("fromboot", false, "re-simulate every replay from boot instead of restoring golden-prefix checkpoints (slower; reports are byte-identical)")
-		broken     = flag.Bool("broken", false, "seeded-bug demo: disable regional privatization (fig6 under EaseIO must fail)")
+		app      = flag.String("app", "fig6", "blueprint to check (a registered name, \"fig6\", or \"all\")")
+		runtimeF = flag.String("runtime", "EaseIO", "runtime to check (Alpaca, InK, EaseIO, JustDo, or \"all\")")
+		failures = flag.Int("k", 1, fmt.Sprintf("failures per schedule: k > 1 explores failure-during-recovery (max %d)", check.MaxFailures))
+		seed     = flag.Int64("seed", 0, "seed for the golden run and every replay")
+		off      = flag.Duration("off", time.Millisecond, "recharge duration of the injected failure")
+		workers  = flag.Int("workers", 0, "parallel replays (0 = GOMAXPROCS); results are worker-invariant")
+		fromBoot = flag.Bool("fromboot", false, "re-simulate every replay from boot instead of restoring golden-prefix checkpoints (slower; reports are byte-identical)")
+		broken   = flag.Bool("broken", false, "seeded-bug demo: disable regional privatization (fig6 under EaseIO must fail)")
 	)
+	flag.Bool("exhaustive", false, "no-op kept for existing scripts: every candidate failure point is replayed")
 	flag.Parse()
 
 	if err := check.ValidateFailures(*failures); err != nil {
 		usageError(err)
 	}
 	cfg := check.Config{
-		Seed:       *seed,
-		Failures:   *failures,
-		Off:        *off,
-		Grid:       *grid,
-		Exhaustive: *exhaustive,
-		FromBoot:   *fromBoot,
-		Workers:    *workers,
+		Seed:     *seed,
+		Failures: *failures,
+		Off:      *off,
+		FromBoot: *fromBoot,
+		Workers:  *workers,
 	}
 	if *broken {
 		cfg.NewRuntime = func() kernel.Hooks {

@@ -176,7 +176,7 @@ func runSmoke(reg *service.Registry) error {
 	// the in-process checker.
 	cid, err := coord.Submit(fleet.Spec{
 		Mode: fleet.ModeCheck, App: "sensor", Runtime: "EaseIO",
-		Exhaustive: true, Failures: 2, Shards: 4,
+		Failures: 2, Shards: 4,
 	})
 	if err != nil {
 		return err
@@ -189,7 +189,7 @@ func runSmoke(reg *service.Registry) error {
 	}
 	sensorFactory, _ := reg.LookupFactory("sensor")
 	wantRep, err := check.Run(context.Background(), sensorFactory, experiments.EaseIO,
-		check.Config{Exhaustive: true, Failures: 2, Workers: 2})
+		check.Config{Failures: 2, Workers: 2})
 	if err != nil {
 		return err
 	}

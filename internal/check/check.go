@@ -7,11 +7,9 @@
 // non-volatile memory, CheckOutput verdict and work-split ledger against
 // the golden run, reporting a minimal failing schedule on divergence.
 //
-// Exploration is adaptive (see explore.go): a coarse grid of candidates
-// is evaluated first and an interval between two explored points is
-// bisected only while their outcome hashes differ, so long stretches of
-// equivalent failure points are pruned. Exhaustive mode replays every
-// candidate — the sound setting used for the small scenario apps.
+// Exploration is exhaustive (see explore.go): every candidate failure
+// point is replayed, so a pass means the run equals the continuous one
+// at every point a failure could land.
 //
 // The checker is deterministic: the same blueprint and config produce a
 // byte-identical Report regardless of Workers or scheduling.
@@ -63,11 +61,8 @@ type Config struct {
 	// Off is the recharge duration of the injected failure (defaults to
 	// power.Schedule's 1 ms).
 	Off time.Duration
-	// Grid is the number of coarse starting points of the adaptive
-	// exploration (defaults to 128; clamped to the candidate count).
-	Grid int
-	// Exhaustive replays every candidate cut point instead of pruning
-	// hash-equivalent intervals.
+	// Exhaustive is a no-op kept for existing callers: every check
+	// replays every candidate cut point.
 	Exhaustive bool
 	// FromBoot forces every replay to re-simulate from boot instead of
 	// restoring a checkpoint of the golden prefix and simulating only
@@ -83,11 +78,7 @@ type Config struct {
 	// CutLo/CutHi restrict exploration to the candidate-index range
 	// [CutLo, CutHi) — the distributed checker's shard unit. CutHi == 0
 	// means "through the last candidate"; out-of-range bounds clamp.
-	// Shard reports merged in range order reproduce the unsharded report
-	// only in Exhaustive mode: the adaptive bisection prunes against
-	// outcomes across the whole range, so adaptive jobs must stay a
-	// single shard. The bisection itself honors the range either way
-	// (midpoints of in-range intervals stay in range).
+	// Shard reports merged in range order reproduce the unsharded report.
 	CutLo, CutHi int
 	// NewRuntime overrides the runtime instance factory, e.g. to check an
 	// ablated EaseIO configuration. Defaults to experiments.NewRuntime of
@@ -108,9 +99,6 @@ func (c Config) fill() Config {
 	}
 	if c.Off <= 0 {
 		c.Off = time.Millisecond
-	}
-	if c.Grid <= 0 {
-		c.Grid = 128
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -134,8 +122,8 @@ type golden struct {
 	sensed []bool
 	// hasFresh gates the freshness oracle: the staleness record folds
 	// into outcome hashes only for apps declaring freshness bounds, so
-	// untagged apps keep hashes — and adaptive reports — byte-identical
-	// to the pre-oracle checker.
+	// untagged apps keep the hashes — and the nested collapse decisions
+	// built on them — of the pre-oracle checker.
 	hasFresh bool
 	// stale is the golden run's staleness-violation count. An app may be
 	// inherently stale even under continuous power; replays are charged
@@ -337,21 +325,7 @@ func Run(ctx context.Context, newApp experiments.AppFactory, kind experiments.Ru
 	e := &explorer{cfg: cfg, newApp: newApp, newRT: pl.newRT, golden: g, cuts: pl.cuts,
 		lo: lo, hi: hi, fromBoot: fromBoot, rec: rcr}
 	results, err := e.explore(ctx)
-	for i, res := range results {
-		if !res.evaluated {
-			continue
-		}
-		rep.Explored++
-		if res.div != nil {
-			d := *res.div
-			d.Index = i
-			d.At = pl.cuts[i]
-			rep.Divergences = append(rep.Divergences, d)
-		}
-	}
-	// Pruned counts only within the explored range, so shard reports
-	// don't book out-of-range candidates as pruned.
-	rep.Pruned = (hi - lo) - rep.Explored
+	rep.Explored, rep.Divergences = level1Divergences(results, pl.cuts)
 	if cfg.Failures > 1 && err == nil {
 		nres, nerr := e.exploreNested(ctx, results)
 		rep.Depths = nres.depths
@@ -360,6 +334,24 @@ func Run(ctx context.Context, newApp experiments.AppFactory, kind experiments.Ru
 	}
 	rep.Minimal = MinimalSchedule(rep.Divergences)
 	return rep, err
+}
+
+// level1Divergences counts the evaluated level-1 points and collects
+// their divergences in candidate order.
+func level1Divergences(results []outcome, cuts []time.Duration) (explored int, divs []Divergence) {
+	for i, res := range results {
+		if !res.evaluated {
+			continue
+		}
+		explored++
+		if res.div != nil {
+			d := *res.div
+			d.Index = i
+			d.At = cuts[i]
+			divs = append(divs, d)
+		}
+	}
+	return explored, divs
 }
 
 // MinimalSchedule picks the minimal failing schedule: fewest failures
@@ -563,7 +555,7 @@ func (r *replayer) recordSuffix(root *checkpoint, schedule []time.Duration, cuts
 // classify compares one replay's final state against golden. The outcome
 // hash covers the correctness verdict, the failure count, every
 // non-time-sensitive memory word and the divergence kind — the
-// equivalence the pruning relies on.
+// equivalence the nested collapse relies on.
 func (r *replayer) classify(dev *kernel.Device, rt kernel.Hooks, run *stats.Run, err error) outcome {
 	if err != nil {
 		return outcome{evaluated: true, hash: hashString("error:" + err.Error()),

@@ -44,9 +44,6 @@ func TestCutRecorderEnumeratesBoundaries(t *testing.T) {
 	}
 }
 
-// TestSeedPoints pins the initial grid: exhaustive and small sets take
-// every index; larger sets take Grid evenly spaced indices including both
-// ends, without duplicates.
 // TestValidateFailures pins the -k bounds surface shared by the CLI, the
 // service and the fleet: only depths 1..MaxFailures are schedulable.
 func TestValidateFailures(t *testing.T) {
@@ -74,65 +71,12 @@ func TestValidateFailures(t *testing.T) {
 	}
 }
 
-func TestSeedPoints(t *testing.T) {
-	if got := seedPoints(Config{Exhaustive: true, Grid: 4}, 0, 10); len(got) != 10 || got[0] != 0 || got[9] != 9 {
-		t.Errorf("exhaustive seedPoints over [0,10) = %v", got)
-	}
-	if got := seedPoints(Config{Grid: 4}, 0, 3); len(got) != 3 {
-		t.Errorf("n<=Grid seedPoints over [0,3) = %v, want all indices", got)
-	}
-	got := seedPoints(Config{Grid: 4}, 0, 100)
-	if len(got) != 4 || got[0] != 0 || got[len(got)-1] != 99 {
-		t.Errorf("seedPoints over [0,100) = %v, want 4 points spanning [0,99]", got)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Errorf("seedPoints not strictly increasing: %v", got)
-		}
-	}
-
-	// A shard range: exhaustive indices stay absolute and in range.
-	if got := seedPoints(Config{Exhaustive: true, Grid: 4}, 5, 8); len(got) != 3 || got[0] != 5 || got[2] != 7 {
-		t.Errorf("exhaustive seedPoints over [5,8) = %v", got)
-	}
-	// Grid over a shard range spans exactly [lo, hi-1].
-	got = seedPoints(Config{Grid: 4}, 10, 110)
-	if len(got) != 4 || got[0] != 10 || got[len(got)-1] != 109 {
-		t.Errorf("grid seedPoints over [10,110) = %v, want 4 points spanning [10,109]", got)
-	}
-	// An empty range seeds nothing.
-	if got := seedPoints(Config{Exhaustive: true, Grid: 4}, 4, 4); len(got) != 0 {
-		t.Errorf("seedPoints over empty range = %v", got)
-	}
-}
-
-// TestNextRound pins the bisection rule: only adjacent evaluated pairs
-// with a gap and differing hashes are split, at the midpoint.
-func TestNextRound(t *testing.T) {
-	out := make([]outcome, 9)
-	set := func(i int, h uint64) { out[i] = outcome{evaluated: true, hash: h} }
-	set(0, 1)
-	set(4, 1) // same hash as 0: pruned, no bisection
-	set(8, 2) // differs from 4: bisect at 6
-	if got := nextRound(out); len(got) != 1 || got[0] != 6 {
-		t.Fatalf("nextRound = %v, want [6]", got)
-	}
-	set(6, 2) // 4..6 still differs: bisect at 5; 6..8 agree
-	if got := nextRound(out); len(got) != 1 || got[0] != 5 {
-		t.Fatalf("nextRound = %v, want [5]", got)
-	}
-	set(5, 2) // adjacent everywhere hashes differ: converged
-	if got := nextRound(out); got != nil {
-		t.Fatalf("nextRound = %v, want nil after convergence", got)
-	}
-}
-
 // TestFig6ExhaustivePass is the checker's core soundness claim on its
 // deterministic scenario: under full EaseIO every single failure point
 // reproduces the golden state.
 func TestFig6ExhaustivePass(t *testing.T) {
 	rep, err := Run(context.Background(), Fig6Bench, experiments.EaseIO,
-		Config{Exhaustive: true, Workers: 2})
+		Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +106,7 @@ func TestSeededBugDetected(t *testing.T) {
 		return core.NewWithConfig(cfg)
 	}
 	rep, err := Run(context.Background(), Fig6Bench, experiments.EaseIO,
-		Config{Exhaustive: true, Workers: 2, NewRuntime: broken, Label: "EaseIO/NoRegions"})
+		Config{Workers: 2, NewRuntime: broken, Label: "EaseIO/NoRegions"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,51 +148,19 @@ func TestSeededBugDetected(t *testing.T) {
 }
 
 // TestDeterministicAcrossWorkers: same blueprint and config must render
-// byte-identically on one worker and many — the explored set is a pure
-// function of the outcomes, never of scheduling.
+// byte-identically on one worker and many — results land by candidate
+// index, never by scheduling.
 func TestDeterministicAcrossWorkers(t *testing.T) {
-	for _, cfg := range []Config{
-		{Grid: 16},         // bisection path
-		{Exhaustive: true}, // exhaustive path
-	} {
-		seq := cfg
-		seq.Workers = 1
-		a, err := Run(context.Background(), tempFactory, experiments.EaseIO, seq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par := cfg
-		par.Workers = 4
-		b, err := Run(context.Background(), tempFactory, experiments.EaseIO, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Render() != b.Render() {
-			t.Errorf("exhaustive=%v: workers=1 vs 4 reports differ:\n%s\nvs\n%s",
-				cfg.Exhaustive, a.Render(), b.Render())
-		}
-	}
-}
-
-// TestBisectionPrunes: on a long run the grid mode must explore fewer
-// points than exhaustive while reaching the same verdict.
-func TestBisectionPrunes(t *testing.T) {
-	rep, err := Run(context.Background(), dmaFactory, experiments.EaseIO, Config{Grid: 16})
+	a, err := Run(context.Background(), tempFactory, experiments.EaseIO, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Passed() {
-		t.Fatalf("dma under EaseIO diverged:\n%s", rep.Render())
+	b, err := Run(context.Background(), tempFactory, experiments.EaseIO, Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.Candidates <= 16 {
-		t.Skipf("only %d candidates; grid covers everything", rep.Candidates)
-	}
-	if rep.Pruned == 0 {
-		t.Errorf("no pruning on %d candidates with grid 16", rep.Candidates)
-	}
-	if rep.Explored+rep.Pruned != rep.Candidates {
-		t.Errorf("explored %d + pruned %d != candidates %d",
-			rep.Explored, rep.Pruned, rep.Candidates)
+	if a.Render() != b.Render() {
+		t.Errorf("workers=1 vs 4 reports differ:\n%s\nvs\n%s", a.Render(), b.Render())
 	}
 }
 
@@ -266,7 +178,7 @@ func TestMatrixCleanRuntimes(t *testing.T) {
 	kinds := []experiments.RuntimeKind{
 		experiments.Alpaca, experiments.InK, experiments.EaseIO, experiments.JustDo,
 	}
-	reports, err := Matrix(context.Background(), targets, kinds, Config{Exhaustive: true})
+	reports, err := Matrix(context.Background(), targets, kinds, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +203,7 @@ func TestMatrixCleanRuntimes(t *testing.T) {
 // survive every point (previous tests); the baselines must not.
 func TestFig6BaselinesDiverge(t *testing.T) {
 	for _, kind := range []experiments.RuntimeKind{experiments.Alpaca, experiments.InK} {
-		rep, err := Run(context.Background(), Fig6Bench, kind, Config{Exhaustive: true})
+		rep, err := Run(context.Background(), Fig6Bench, kind, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +221,7 @@ func TestFig6BaselinesDiverge(t *testing.T) {
 // TestFig6JustDoPasses covers the checkpointing comparator on the
 // deterministic scenario (the kinds the matrix test skips in -short).
 func TestFig6JustDoPasses(t *testing.T) {
-	rep, err := Run(context.Background(), Fig6Bench, experiments.JustDo, Config{Exhaustive: true})
+	rep, err := Run(context.Background(), Fig6Bench, experiments.JustDo, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +235,7 @@ func TestFig6JustDoPasses(t *testing.T) {
 func TestRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := Run(ctx, Fig6Bench, experiments.EaseIO, Config{Exhaustive: true, Workers: 1})
+	rep, err := Run(ctx, Fig6Bench, experiments.EaseIO, Config{Workers: 1})
 	if err == nil {
 		t.Fatal("cancelled context must surface an error")
 	}
@@ -339,7 +251,7 @@ func TestRunCancellation(t *testing.T) {
 // equal to the explored total.
 func TestProgressReachesPlanned(t *testing.T) {
 	var last, lastPlanned int
-	cfg := Config{Exhaustive: true, Workers: 1}
+	cfg := Config{Workers: 1}
 	cfg.Progress = func(explored, planned int) { last, lastPlanned = explored, planned }
 	rep, err := Run(context.Background(), Fig6Bench, experiments.EaseIO, cfg)
 	if err != nil {
@@ -355,7 +267,7 @@ func TestProgressReachesPlanned(t *testing.T) {
 // report and the replays still pass.
 func TestOffDurationRecorded(t *testing.T) {
 	rep, err := Run(context.Background(), Fig6Bench, experiments.EaseIO,
-		Config{Exhaustive: true, Off: 250 * time.Microsecond})
+		Config{Off: 250 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +289,7 @@ func TestCutRangeShardsMergeExhaustive(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
-			cfg := Config{Exhaustive: true, Workers: 2}
+			cfg := Config{Workers: 2}
 			full, err := Run(context.Background(), Fig6Bench, kind, cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -183,35 +183,29 @@ func TestEquivCheckReports(t *testing.T) {
 	}
 }
 
-// TestEquivCheckReportsAdaptive pins the grid + outcome-hash bisection
-// path — the part of the checker most sensitive to exploration-order
-// changes — with the same byte-identical rendered-report contract as
-// the exhaustive matrix. Recorded against the single-failure checker
-// before the k-failure generalization; a k=1 run must reproduce these
-// bytes forever.
+// TestEquivCheckReportsAdaptive pins what a request for the retired
+// adaptive (grid + bisection) exploration now gets: the same config
+// without Exhaustive — the former adaptive default — must render the
+// exhaustive fixtures byte for byte, because every check replays every
+// candidate.
 func TestEquivCheckReportsAdaptive(t *testing.T) {
 	cfg := Config{Workers: 2}
 	for _, cell := range equivCheckCells() {
 		cell := cell
 		t.Run(cell.name, func(t *testing.T) {
-			if testing.Short() && !*updateEquiv && cell.name != "fig6_Alpaca" {
+			if testing.Short() && cell.name != "fig6_Alpaca" {
 				t.Skip("full matrix runs without -short")
 			}
 			rep, err := Run(context.Background(), cell.factory, cell.kind, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "equiv", "check_adaptive_"+cell.name+".txt")
-			if *updateEquiv {
-				writeEquivFixture(t, path, []byte(rep.Render()))
-				return
-			}
-			want, err := os.ReadFile(path)
+			want, err := os.ReadFile(filepath.Join("testdata", "equiv", "check_"+cell.name+".txt"))
 			if err != nil {
-				t.Fatalf("missing fixture (run with -update-equiv): %v", err)
+				t.Fatal(err)
 			}
 			if got := rep.Render(); got != string(want) {
-				t.Errorf("adaptive check report diverged from recorded representation:\n got:\n%s\nwant:\n%s",
+				t.Errorf("check report without Exhaustive differs from the exhaustive fixture:\n got:\n%s\nwant:\n%s",
 					got, want)
 			}
 		})

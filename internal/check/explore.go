@@ -1,13 +1,5 @@
-// The adaptive exploration: which candidate cut points get replayed.
-//
-// Exhaustive mode evaluates every candidate. Otherwise a coarse grid
-// (Config.Grid points, always including the first and last candidate) is
-// evaluated first; then, in deterministic rounds, every interval between
-// adjacent explored points whose outcome hashes differ is bisected, until
-// no interval changes hands. Intervals whose endpoints agree are pruned:
-// the checker assumes the failure points between two hash-identical
-// outcomes behave identically. That assumption is what buys the speedup —
-// Exhaustive is the sound setting, and the small scenario apps use it.
+// The exploration: every candidate cut point of a range is replayed
+// once, in one pass over the range.
 //
 // The same loop explores every level of the nested-failure checkpoint
 // tree (see nested.go): a subtree's candidate list is the recovery
@@ -15,9 +7,8 @@
 // prefix, and its recording passes resume from the subtree's root
 // checkpoint instead of re-running the golden pass.
 //
-// Each round's point set is a pure function of the previously evaluated
-// outcomes, and every replay is independent and deterministic, so the
-// explored set — and therefore the Report — does not depend on Workers.
+// Every replay is independent and deterministic and results land by
+// candidate index, so the Report does not depend on Workers.
 
 package check
 
@@ -47,73 +38,65 @@ type explorer struct {
 	fromBoot bool
 	rec      *recorder // nil in from-boot mode
 
-	reps    []*replayer  // worker pool, grown lazily by round demand
+	reps    []*replayer  // worker pool, grown lazily by chunk demand
 	tracer  *replayer    // nested mode: suffix tracing + recording passes
 	done    atomic.Int64 // evaluated points, feeds Config.Progress
 	planned atomic.Int64 // points scheduled so far, feeds Config.Progress
 }
 
-// explore evaluates the level-1 candidate cut points until the bisection
-// converges, returning one outcome slot per candidate (unevaluated slots
-// are pruned intervals). On cancellation it returns what was evaluated so
-// far plus ctx's error.
+// explore evaluates every level-1 candidate cut point in the explored
+// range, returning one outcome slot per candidate (slots outside the
+// range stay unevaluated). On cancellation it returns what was evaluated
+// so far plus ctx's error.
 func (e *explorer) explore(ctx context.Context) ([]outcome, error) {
 	var record recordFn
-	var recycle func(map[int]*checkpoint)
 	if e.rec != nil {
-		record, recycle = e.rec.record, e.rec.recycle
+		record = e.rec.record
 	}
-	return e.exploreRange(ctx, e.cuts, e.lo, e.hi, nil, record, recycle)
+	return e.exploreRange(ctx, e.cuts, e.lo, e.hi, nil, record)
 }
 
-// exploreRange runs the adaptive loop over one cut list: the level-1
-// candidates or one subtree's recovery-trajectory cuts. Every evaluated
-// schedule is prefix + cuts[i]. In checkpointed mode each round is
-// recorded first: a recording pass captures one checkpoint per pending
-// point (in batches of checkpointBatch to bound memory), and the workers
-// restore and resume instead of re-running from boot. The replayer pool
-// is sized lazily by actual round demand — a round with fewer points
-// than Workers never pays for app builds it cannot use.
+// exploreRange replays every candidate of one cut list in [lo, hi): the
+// level-1 candidates or one subtree's recovery-trajectory cuts. Every
+// evaluated schedule is prefix + cuts[i]. The range is walked in chunks
+// of checkpointBatch; in checkpointed mode each chunk is recorded first
+// — one recording pass captures a checkpoint per point, bounding memory
+// by the chunk — and the workers restore and resume instead of
+// re-running from boot. The replayer pool is sized lazily by chunk
+// demand, so a range with fewer points than Workers never pays for app
+// builds it cannot use.
 func (e *explorer) exploreRange(ctx context.Context, cuts []time.Duration, lo, hi int,
-	prefix []time.Duration, record recordFn, recycle func(map[int]*checkpoint)) ([]outcome, error) {
+	prefix []time.Duration, record recordFn) ([]outcome, error) {
 	out := make([]outcome, len(cuts))
-
-	pending := seedPoints(e.cfg, lo, hi)
-	for len(pending) > 0 {
-		e.planned.Add(int64(len(pending)))
-		batch := len(pending)
-		if record != nil && batch > checkpointBatch {
-			batch = checkpointBatch
+	if hi <= lo {
+		return out, nil
+	}
+	e.planned.Add(int64(hi - lo))
+	idxs := make([]int, 0, min(hi-lo, checkpointBatch))
+	for start := lo; start < hi; start += checkpointBatch {
+		idxs = idxs[:0]
+		for i := start; i < min(start+checkpointBatch, hi); i++ {
+			idxs = append(idxs, i)
 		}
-		for start := 0; start < len(pending); start += batch {
-			end := start + batch
-			if end > len(pending) {
-				end = len(pending)
-			}
-			idxs := pending[start:end]
-			var cps map[int]*checkpoint
-			if record != nil {
-				if err := ctx.Err(); err != nil {
-					return out, err
-				}
-				var err error
-				if cps, err = record(cuts, idxs); err != nil {
-					return out, err
-				}
-			}
-			if err := e.grow(len(idxs)); err != nil {
+		var cps map[int]*checkpoint
+		if record != nil {
+			if err := ctx.Err(); err != nil {
 				return out, err
 			}
-			if err := e.evalRound(ctx, out, cuts, idxs, cps, prefix); err != nil {
+			var err error
+			if cps, err = record(cuts, idxs); err != nil {
 				return out, err
 			}
-			if recycle != nil {
-				// evalRound is a barrier: every replay of this batch has
-				// finished, so its checkpoints can back the next batch.
-				recycle(cps)
-			}
 		}
-		pending = nextRound(out)
+		if err := e.grow(len(idxs)); err != nil {
+			return out, err
+		}
+		if err := e.evalChunk(ctx, out, cuts, idxs, cps, prefix); err != nil {
+			return out, err
+		}
+		// evalChunk is a barrier: every replay of this chunk has
+		// finished, so its checkpoints can back the next chunk.
+		ckptRecycle(cps)
 	}
 	return out, nil
 }
@@ -134,59 +117,12 @@ func (e *explorer) grow(demand int) error {
 	return nil
 }
 
-// seedPoints returns the initial candidate indices within the explored
-// range [lo, hi): everything in exhaustive mode or for small ranges,
-// else Grid evenly spaced indices including both ends. Later bisection
-// rounds stay in range by construction: midpoints of in-range intervals
-// are in range.
-func seedPoints(cfg Config, lo, hi int) []int {
-	n := hi - lo
-	if n <= 0 {
-		return nil
-	}
-	if cfg.Exhaustive || n <= cfg.Grid {
-		idxs := make([]int, n)
-		for i := range idxs {
-			idxs[i] = lo + i
-		}
-		return idxs
-	}
-	idxs := make([]int, 0, cfg.Grid)
-	last := -1
-	for g := 0; g < cfg.Grid; g++ {
-		i := lo + g*(n-1)/(cfg.Grid-1)
-		if i != last {
-			idxs = append(idxs, i)
-			last = i
-		}
-	}
-	return idxs
-}
-
-// nextRound bisects every interval between adjacent evaluated points
-// whose outcome hashes differ. The scan walks the full outcome slice, so
-// it is independent of the order the previous round finished in.
-func nextRound(out []outcome) []int {
-	var next []int
-	prev := -1
-	for i := range out {
-		if !out[i].evaluated {
-			continue
-		}
-		if prev >= 0 && i-prev > 1 && out[prev].hash != out[i].hash {
-			next = append(next, prev+(i-prev)/2)
-		}
-		prev = i
-	}
-	return next
-}
-
-// evalRound evaluates the given candidate indices on the worker pool.
+// evalChunk evaluates the given candidate indices on the worker pool.
 // Results land in out by index, so completion order is irrelevant. cps
 // is nil in from-boot mode; in checkpointed mode it holds one checkpoint
 // per index. prefix is the failure schedule shared by every point of the
-// round (nil at level 1).
-func (e *explorer) evalRound(ctx context.Context, out []outcome, cuts []time.Duration, idxs []int, cps map[int]*checkpoint, prefix []time.Duration) error {
+// chunk (nil at level 1).
+func (e *explorer) evalChunk(ctx context.Context, out []outcome, cuts []time.Duration, idxs []int, cps map[int]*checkpoint, prefix []time.Duration) error {
 	evalOne := func(r *replayer, i int) outcome {
 		r.sched = append(append(r.sched[:0], prefix...), cuts[i])
 		if cps != nil {

@@ -37,7 +37,7 @@ func TestFreshnessOracleSensor(t *testing.T) {
 		t.Run(tc.kind.String(), func(t *testing.T) {
 			t.Parallel()
 			rep, err := Run(context.Background(), sensorFactory, tc.kind,
-				Config{Exhaustive: true, Workers: 2})
+				Config{Workers: 2})
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
@@ -75,12 +75,12 @@ func TestFreshnessOracleSensor(t *testing.T) {
 func TestFreshnessOracleCheckpointedMatchesFromBoot(t *testing.T) {
 	t.Parallel()
 	ckpt, err := Run(context.Background(), sensorFactory, experiments.EaseIO,
-		Config{Exhaustive: true, Workers: 2})
+		Config{Workers: 2})
 	if err != nil {
 		t.Fatalf("checkpointed: %v", err)
 	}
 	boot, err := Run(context.Background(), sensorFactory, experiments.EaseIO,
-		Config{Exhaustive: true, Workers: 2, FromBoot: true})
+		Config{Workers: 2, FromBoot: true})
 	if err != nil {
 		t.Fatalf("from-boot: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestFreshnessNestedReplayModes(t *testing.T) {
 		tc := tc
 		t.Run(tc.kind.String(), func(t *testing.T) {
 			t.Parallel()
-			cfg := Config{Exhaustive: true, Failures: 2, Workers: 2}
+			cfg := Config{Failures: 2, Workers: 2}
 			ckpt, err := Run(context.Background(), sensorFactory, tc.kind, cfg)
 			if err != nil {
 				t.Fatalf("checkpointed: %v", err)

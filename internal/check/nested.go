@@ -22,8 +22,7 @@
 //     outcome hash covers every non-time-sensitive memory word, the
 //     verdict, the failure count and the staleness record, so
 //     hash-equal siblings resume from observably equivalent states and
-//     their subtrees are explored once. This is the same equivalence
-//     the level-1 bisection prunes with, applied across levels.
+//     their subtrees are explored once.
 //
 // Node selection (nestedPlan) is a pure function of the level's
 // outcomes, and outcomes are worker-invariant, so the tree — and the
@@ -61,7 +60,7 @@ func nestedPlan(out []outcome, lo, hi int) []nestedRep {
 	for i := lo; i < hi; i++ {
 		o := out[i]
 		if !o.evaluated {
-			continue // pruned points belong to the enclosing run
+			continue // unevaluated (cancelled) points belong to the enclosing run
 		}
 		if o.div != nil {
 			open = false // diverging points break runs and never expand
@@ -187,8 +186,8 @@ func (e *explorer) level1Frontier(level1 []outcome) ([]treeNode, error) {
 }
 
 // expand explores one node's subtree: it traces the node's recovery
-// trajectory to enumerate the next level's candidates, runs the adaptive
-// loop over them, books the accounting and divergences into ds/res, and
+// trajectory to enumerate the next level's candidates, replays every one
+// of them, books the accounting and divergences into ds/res, and
 // returns the subtree's own expansion nodes for the level below.
 func (e *explorer) expand(ctx context.Context, node treeNode, depth int, ds *DepthStats, res *nestedResult) ([]treeNode, error) {
 	var suffix []time.Duration
@@ -207,14 +206,12 @@ func (e *explorer) expand(ctx context.Context, node treeNode, depth int, ds *Dep
 	}
 
 	var record recordFn
-	var recycle func(map[int]*checkpoint)
 	if node.root != nil {
 		record = func(cuts []time.Duration, idxs []int) (map[int]*checkpoint, error) {
 			return e.tracer.recordSuffix(node.root, node.schedule, cuts, idxs)
 		}
-		recycle = ckptRecycle
 	}
-	out, err := e.exploreRange(ctx, suffix, 0, len(suffix), node.schedule, record, recycle)
+	out, err := e.exploreRange(ctx, suffix, 0, len(suffix), node.schedule, record)
 	explored := 0
 	for i, o := range out {
 		if !o.evaluated {
@@ -230,7 +227,6 @@ func (e *explorer) expand(ctx context.Context, node treeNode, depth int, ds *Dep
 		}
 	}
 	ds.Explored += explored
-	ds.Pruned += len(suffix) - explored
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +236,7 @@ func (e *explorer) expand(ctx context.Context, node treeNode, depth int, ds *Dep
 
 	// The level below: representatives of this subtree, rooted at
 	// checkpoints re-recorded along the same trajectory (the eval
-	// rounds' checkpoints are already recycled).
+	// chunks' checkpoints are already recycled).
 	reps := nestedPlan(out, 0, len(suffix))
 	if len(reps) == 0 {
 		return nil, nil

@@ -4,10 +4,10 @@
 // golden continuous pass with a snapshotting CutSink and captures one
 // device+runtime checkpoint per pending cut point, which a replayer then
 // restores and resumes with the injected failure (kernel.Snapshot /
-// kernel.ResumeWithFailure). Rounds are recorded in bounded batches so a
-// large exhaustive round holds at most checkpointBatch checkpoints in
-// memory at once, and a batch's checkpoints are recycled once its
-// replays finish — recording is allocation-free at steady state.
+// kernel.ResumeWithFailure). A range is recorded in bounded batches so a
+// long range holds at most checkpointBatch checkpoints in memory at
+// once, and a batch's checkpoints are recycled once its replays finish
+// — recording is allocation-free at steady state.
 
 package check
 
@@ -24,7 +24,7 @@ import (
 // checkpointBatch bounds how many checkpoints one recording pass
 // captures. Each batch costs one extra golden pass, which the replays it
 // feeds amortize many times over; the bound keeps peak memory
-// proportional to the batch, not the round. A checkpoint holds the app's
+// proportional to the batch, not the range. A checkpoint holds the app's
 // used memory prefix (20–40 KB for dma, depending on the runtime), so a
 // batch of 64 holds up to ~2.5 MB per in-flight exploration; at 256 the
 // batches of concurrent fleet jobs dominated a worker's resident set
@@ -80,8 +80,8 @@ type recorder struct {
 }
 
 // ckptPool recycles checkpoints (and, through SnapshotInto, their memory
-// and stats buffers) across batches and across Run calls. An exhaustive
-// round on a small app fits one batch, so a per-recorder free list would
+// and stats buffers) across batches and across Run calls. The whole
+// range of a small app fits one batch, so a per-recorder free list would
 // never see a recycled checkpoint; the process-wide pool is what makes
 // recording allocation-free at steady state.
 var ckptPool = sync.Pool{New: func() any { return &checkpoint{} }}
@@ -106,9 +106,6 @@ func ckptRecycle(cps map[int]*checkpoint) {
 		ckptPool.Put(cp)
 	}
 }
-
-// recycle is ckptRecycle under the recorder's historical name.
-func (r *recorder) recycle(cps map[int]*checkpoint) { ckptRecycle(cps) }
 
 // record re-runs the golden pass and returns one checkpoint per
 // requested candidate index (idxs ascending, indexing cuts).

@@ -47,8 +47,9 @@ type DepthStats struct {
 	Expanded  int
 	Collapsed int
 	// Candidates is the union of the expanded subtrees' trajectory cut
-	// points; Explored of them were replayed, the rest pruned by the
-	// per-subtree bisection.
+	// points; Explored of them were replayed. Pruned is always 0 (every
+	// candidate is replayed); it stays in the rendered, JSON and wire
+	// forms of the report.
 	Candidates int
 	Explored   int
 	Pruned     int
@@ -71,8 +72,9 @@ type Report struct {
 	GoldenCorrect bool
 
 	// Candidates is the number of charge-slice boundaries enumerated by
-	// the golden pass; Explored of them were replayed, the rest pruned by
-	// the adaptive bisection.
+	// the golden pass; Explored of them were replayed (all of them, unless
+	// the run was cancelled or covers a shard range). Pruned is always 0;
+	// it stays in the rendered, JSON and wire forms of the report.
 	Candidates int
 	Explored   int
 	Pruned     int

@@ -44,7 +44,7 @@ func TestReplayModesByteIdentical(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := Config{Exhaustive: true, Workers: 2}
+			cfg := Config{Workers: 2}
 			ckpt, err := Run(context.Background(), c.app, c.kind, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -71,7 +71,7 @@ func TestNestedReplayModesByteIdentical(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
-			cfg := Config{Exhaustive: true, Failures: 2, Workers: 2}
+			cfg := Config{Failures: 2, Workers: 2}
 			ckpt, err := Run(context.Background(), Fig6Bench, kind, cfg)
 			if err != nil {
 				t.Fatal(err)

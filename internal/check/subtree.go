@@ -43,10 +43,9 @@ type SubtreeSeed struct {
 type NestedPlan struct {
 	Plan *Plan
 
-	// Explored/Pruned/Divergences are the level-1 exploration's results,
+	// Explored/Divergences are the level-1 exploration's results,
 	// exactly as a k=1 Run over the same range would report them.
 	Explored    int
-	Pruned      int
 	Divergences []Divergence
 
 	// Seeds are the depth-2 expansion roots in candidate order. Empty
@@ -103,19 +102,7 @@ func PlanNested(ctx context.Context, newApp experiments.AppFactory, kind experim
 		lo: lo, hi: hi, fromBoot: false,
 		rec: newRecorder(pl.bench, pl.rt, pl.dev, cfg.Seed)}
 	results, err := e.explore(ctx)
-	for i, res := range results {
-		if !res.evaluated {
-			continue
-		}
-		np.Explored++
-		if res.div != nil {
-			d := *res.div
-			d.Index = i
-			d.At = pl.cuts[i]
-			np.Divergences = append(np.Divergences, d)
-		}
-	}
-	np.Pruned = (hi - lo) - np.Explored
+	np.Explored, np.Divergences = level1Divergences(results, pl.cuts)
 	if err != nil {
 		return np, err
 	}
@@ -147,7 +134,6 @@ func PlanNested(ctx context.Context, newApp experiments.AppFactory, kind experim
 func (np *NestedPlan) Report(sub SubtreeReport) *Report {
 	rep := np.Plan.Report()
 	rep.Explored = np.Explored
-	rep.Pruned = np.Pruned
 	rep.Divergences = append(append([]Divergence(nil), np.Divergences...), sub.Divergences...)
 	rep.Depths = sub.Depths
 	rep.Minimal = MinimalSchedule(rep.Divergences)

@@ -30,7 +30,7 @@ func TestSubtreePipelineMatchesRun(t *testing.T) {
 			app, kind := app, kind
 			t.Run(app.name+"/"+kind.String(), func(t *testing.T) {
 				t.Parallel()
-				cfg := Config{Failures: 2, Exhaustive: true, Workers: 2}
+				cfg := Config{Failures: 2, Workers: 2}
 				want, err := Run(ctx, app.factory, kind, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -72,7 +72,7 @@ func TestSubtreePipelineMatchesRun(t *testing.T) {
 // is a complete, empty report — workers never error on it.
 func TestRunSubtreeEmptyRoots(t *testing.T) {
 	rep, err := RunSubtree(context.Background(), Fig6Bench, allKinds[2],
-		Config{Failures: 2, Exhaustive: true}, nil)
+		Config{Failures: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

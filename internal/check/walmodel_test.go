@@ -25,7 +25,7 @@ func TestWALProtocolSurvivesAllFailurePoints(t *testing.T) {
 	for _, kind := range []experiments.RuntimeKind{
 		experiments.InK, experiments.EaseIO, experiments.JustDo,
 	} {
-		rep, err := Run(context.Background(), walFactory, kind, Config{Exhaustive: true})
+		rep, err := Run(context.Background(), walFactory, kind, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestWALProtocolSurvivesAllFailurePoints(t *testing.T) {
 // corruption the WAL's frame commit exists to prevent — a replayed
 // append observing a different world and double-decoding a record.
 func TestWALProtocolCorruptsWithoutAtomicAppend(t *testing.T) {
-	rep, err := Run(context.Background(), walFactory, experiments.Alpaca, Config{Exhaustive: true})
+	rep, err := Run(context.Background(), walFactory, experiments.Alpaca, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

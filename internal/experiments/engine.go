@@ -20,10 +20,9 @@ import (
 )
 
 // RunMany executes cfg.Runs seeded runs and aggregates them. Runs are
-// sharded over cfg.Workers pooled workers unless cfg.Rebuild asks for the
-// legacy rebuild-per-run path. Failed runs do not abort the sweep: the
-// Summary covers every run that completed, and the error joins all
-// per-run failures (each carrying its app, runtime and seed).
+// sharded over cfg.Workers pooled workers. Failed runs do not abort the
+// sweep: the Summary covers every run that completed, and the error
+// joins all per-run failures (each carrying its app, runtime and seed).
 func RunMany(cfg Config, newApp AppFactory, kind RuntimeKind) (stats.Summary, error) {
 	return RunManyCtx(context.Background(), cfg, newApp, kind)
 }
@@ -38,10 +37,8 @@ func RunMany(cfg Config, newApp AppFactory, kind RuntimeKind) (stats.Summary, er
 // context.DeadlineExceeded.
 func RunManyCtx(ctx context.Context, cfg Config, newApp AppFactory, kind RuntimeKind) (stats.Summary, error) {
 	cfg = cfg.fill()
-	if cfg.Rebuild {
-		return runManyRebuild(ctx, cfg, newApp, kind)
-	}
-	return runManyPooled(ctx, cfg, newApp, kind)
+	agg, err := RunRangeAgg(ctx, cfg, newApp, kind, 0, cfg.Runs)
+	return agg.Summary(), err
 }
 
 // PanicError wraps a panic recovered from a sweep worker goroutine, so a
@@ -81,18 +78,6 @@ func shardRange(lo, hi, workers int) []shard {
 		cur += size
 	}
 	return out
-}
-
-// runManyPooled is the sharded worker-pool sweep. Each worker builds its
-// own app instance (peripheral models carry mutable per-run state, so
-// instances cannot be shared across goroutines) and reuses one device and
-// runtime for every seed in its shard.
-func runManyPooled(ctx context.Context, cfg Config, newApp AppFactory, kind RuntimeKind) (stats.Summary, error) {
-	agg, errs := runRangePooled(ctx, cfg, newApp, kind, 0, cfg.Runs)
-	if err := ctx.Err(); err != nil {
-		errs = append(errs, err)
-	}
-	return agg.Summary(), errors.Join(errs...)
 }
 
 // RunRangeAgg executes the contiguous run-index slice [lo, hi) of the
@@ -193,9 +178,6 @@ func sweepShard(ctx context.Context, cfg Config, newApp AppFactory, kind Runtime
 		// between seeds must not clear events other runs already emitted.
 		sess.Tracer = sweepSink{cfg.TraceSink}
 	}
-	if cfg.Batch > 1 && cfg.TraceSink == nil {
-		return sweepShardBatch(ctx, cfg, newApp, kind, s, done, timing, agg, bench.App.Name, sess, buildStart)
-	}
 	timing.build.Add(int64(time.Since(buildStart)))
 	runStart := time.Now()
 	defer func() { timing.run.Add(int64(time.Since(runStart))) }()
@@ -219,64 +201,6 @@ func sweepShard(ctx context.Context, cfg Config, newApp AppFactory, kind Runtime
 	return agg, errs
 }
 
-// sweepShardBatch is sweepShard's lockstep variant (cfg.Batch > 1, no
-// trace sink): the shard's seeds run in chunks of K = min(Batch, shard
-// size) through one kernel.BatchSession whose K sessions each own their
-// own app instance (peripheral models carry per-device state) and supply.
-// Per-seed results are folded in seed order, so the aggregate is
-// byte-identical to the sequential shard; the ragged final chunk simply
-// runs narrower. Cancellation is observed between chunks — a batched
-// sweep stops within one chunk boundary per worker instead of one seed.
-func sweepShardBatch(ctx context.Context, cfg Config, newApp AppFactory, kind RuntimeKind, s shard, done *atomic.Int64, timing *shardTimings, agg *stats.Aggregator, appName string, first *kernel.Session, buildStart time.Time) (*stats.Aggregator, []error) {
-	k := cfg.Batch
-	if n := s.hi - s.lo; k > n {
-		k = n
-	}
-	sessions := make([]*kernel.Session, k)
-	sessions[0] = first
-	for j := 1; j < k; j++ {
-		bench, err := newApp()
-		if err != nil {
-			timing.build.Add(int64(time.Since(buildStart)))
-			return agg, []error{fmt.Errorf("experiments: build app for %s runs %d-%d: %w",
-				kind, s.lo, s.hi-1, err)}
-		}
-		sessions[j] = kernel.NewSession(NewRuntime(kind), bench.App, cfg.Supply())
-	}
-	batch := kernel.NewBatchSession(sessions...)
-	seeds := make([]int64, 0, k)
-	timing.build.Add(int64(time.Since(buildStart)))
-	runStart := time.Now()
-	defer func() { timing.run.Add(int64(time.Since(runStart))) }()
-	var errs []error
-	for i := s.lo; i < s.hi; i += k {
-		if ctx.Err() != nil {
-			break
-		}
-		hi := i + k
-		if hi > s.hi {
-			hi = s.hi
-		}
-		seeds = seeds[:0]
-		for j := i; j < hi; j++ {
-			seeds = append(seeds, cfg.BaseSeed+int64(j))
-		}
-		runs, rerrs := batch.Run(seeds)
-		for j, run := range runs {
-			if rerrs[j] != nil {
-				errs = append(errs, fmt.Errorf("experiments: %s on %s (seed %d): %w",
-					appName, kind, seeds[j], rerrs[j]))
-				notifyProgress(cfg, done)
-				continue
-			}
-			run.Runtime = kind.String() // distinguish EaseIO/Op. in reports
-			agg.Add(run)
-			notifyProgress(cfg, done)
-		}
-	}
-	return agg, errs
-}
-
 // notifyProgress bumps the sweep-wide finished-run counter and invokes
 // the progress hook, if any. Failed seeds count too, so done reaches the
 // total even for sweeps with broken seeds.
@@ -286,55 +210,4 @@ func notifyProgress(cfg Config, done *atomic.Int64) {
 		return
 	}
 	cfg.Progress(int(done.Add(1)), cfg.Runs)
-}
-
-// runManyRebuild is the predecessor engine: one goroutine and one freshly
-// built app, device and runtime per seed. Kept behind Config.Rebuild as
-// the baseline the sweep-throughput benchmark compares against.
-func runManyRebuild(ctx context.Context, cfg Config, newApp AppFactory, kind RuntimeKind) (stats.Summary, error) {
-	start := time.Now()
-	if cfg.Timings != nil {
-		// The rebuild path interleaves build and run per seed; only the
-		// end-to-end wall time is attributable.
-		defer func() { cfg.Timings.Wall += time.Since(start) }()
-	}
-	runs := make([]*stats.Run, cfg.Runs)
-	errs := make([]error, cfg.Runs)
-	var done atomic.Int64
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
-	for i := 0; i < cfg.Runs; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = PanicError{Value: r, What: fmt.Sprintf("%s seed %d", kind, cfg.BaseSeed+int64(i))}
-				}
-			}()
-			runs[i], errs[i] = RunOneTraced(newApp, kind, cfg.Supply(), cfg.BaseSeed+int64(i), cfg.TraceSink)
-			notifyProgress(cfg, &done)
-		}(i)
-	}
-	wg.Wait()
-	agg := stats.NewAggregator()
-	var joined []error
-	for i, r := range runs {
-		if errs[i] != nil {
-			joined = append(joined, errs[i])
-			continue
-		}
-		if r != nil {
-			agg.Add(r)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		joined = append(joined, err)
-	}
-	return agg.Summary(), errors.Join(joined...)
 }

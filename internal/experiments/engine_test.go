@@ -8,8 +8,10 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -24,9 +26,63 @@ func dmaFactory() (*apps.Bench, error)  { return apps.NewDMAApp(apps.DefaultDMAC
 func tempFactory() (*apps.Bench, error) { return apps.NewTempApp(apps.DefaultTempConfig()) }
 func firFactory() (*apps.Bench, error)  { return apps.NewFIRApp(apps.DefaultFIRConfig()) }
 
+// runManyRebuild is the predecessor sweep engine, kept as the oracle the
+// pooled engine is checked against: one goroutine and one freshly built
+// app, device and runtime per seed, folded in seed order.
+func runManyRebuild(ctx context.Context, cfg Config, newApp AppFactory, kind RuntimeKind) (stats.Summary, error) {
+	cfg = cfg.fill()
+	runs := make([]*stats.Run, cfg.Runs)
+	errs := make([]error, cfg.Runs)
+	var done atomic.Int64
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, cfg.Workers)
+	for i := 0; i < cfg.Runs; i++ {
+		if ctx.Err() != nil {
+			break
+		}
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			defer func() {
+				if r := recover(); r != nil {
+					errs[i] = PanicError{Value: r, What: fmt.Sprintf("%s seed %d", kind, cfg.BaseSeed+int64(i))}
+				}
+			}()
+			runs[i], errs[i] = RunOne(newApp, kind, cfg.Supply(), cfg.BaseSeed+int64(i))
+			notifyProgress(cfg, &done)
+		}(i)
+	}
+	wg.Wait()
+	agg := stats.NewAggregator()
+	var joined []error
+	for i, r := range runs {
+		if errs[i] != nil {
+			joined = append(joined, errs[i])
+			continue
+		}
+		if r != nil {
+			agg.Add(r)
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		joined = append(joined, err)
+	}
+	return agg.Summary(), errors.Join(joined...)
+}
+
+// sweep runs cfg on the pooled engine, or on the rebuild oracle.
+func sweep(ctx context.Context, cfg Config, rebuild bool, newApp AppFactory, kind RuntimeKind) (stats.Summary, error) {
+	if rebuild {
+		return runManyRebuild(ctx, cfg, newApp, kind)
+	}
+	return RunManyCtx(ctx, cfg, newApp, kind)
+}
+
 // TestRunManyDeterminism checks that identical seeds produce a
 // byte-identical Summary whether the sweep runs on one worker or many,
-// and whether workers pool their devices or rebuild per run.
+// and equal to the rebuild-per-run oracle.
 func TestRunManyDeterminism(t *testing.T) {
 	cases := []struct {
 		name string
@@ -54,9 +110,7 @@ func TestRunManyDeterminism(t *testing.T) {
 				t.Errorf("Workers=1 vs Workers=%d summaries differ:\n%+v\nvs\n%+v",
 					par.Workers, seq, got)
 			}
-			reb := par
-			reb.Rebuild = true
-			got, err = RunMany(reb, c.new, EaseIO)
+			got, err = runManyRebuild(context.Background(), par, c.new, EaseIO)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,13 +224,14 @@ func TestRunManyCtxCancelStopsAtSeedBoundary(t *testing.T) {
 }
 
 // TestRunManyCtxAlreadyCancelled checks a dead context produces an empty
-// summary, on both engine paths, without running anything.
+// summary, on the engine and its rebuild oracle, without running
+// anything.
 func TestRunManyCtxAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, rebuild := range []bool{false, true} {
-		cfg := Config{Runs: 8, Workers: 2, Rebuild: rebuild}
-		sum, err := RunManyCtx(ctx, cfg, dmaFactory, EaseIO)
+		cfg := Config{Runs: 8, Workers: 2}
+		sum, err := sweep(ctx, cfg, rebuild, dmaFactory, EaseIO)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("rebuild=%v: err = %v, want context.Canceled", rebuild, err)
 		}
@@ -187,12 +242,13 @@ func TestRunManyCtxAlreadyCancelled(t *testing.T) {
 }
 
 // TestRunManyProgressReachesTotal checks the progress hook fires once
-// per seed and the final count equals the sweep total on both paths.
+// per seed and the final count equals the sweep total, on the engine and
+// its rebuild oracle.
 func TestRunManyProgressReachesTotal(t *testing.T) {
 	for _, rebuild := range []bool{false, true} {
 		var calls atomic.Int64
 		var maxDone atomic.Int64
-		cfg := Config{Runs: 12, BaseSeed: 5, Workers: 3, Rebuild: rebuild}
+		cfg := Config{Runs: 12, BaseSeed: 5, Workers: 3}
 		cfg.Progress = func(done, total int) {
 			calls.Add(1)
 			// Callbacks race, so the hook records the running maximum.
@@ -203,7 +259,7 @@ func TestRunManyProgressReachesTotal(t *testing.T) {
 				}
 			}
 		}
-		if _, err := RunMany(cfg, tempFactory, EaseIO); err != nil {
+		if _, err := sweep(context.Background(), cfg, rebuild, tempFactory, EaseIO); err != nil {
 			t.Fatal(err)
 		}
 		if got := calls.Load(); got != 12 {
@@ -220,7 +276,7 @@ func TestRunManyProgressReachesTotal(t *testing.T) {
 func TestRunManyRecoversWorkerPanic(t *testing.T) {
 	boom := func() (*apps.Bench, error) { panic("boom") }
 	for _, rebuild := range []bool{false, true} {
-		sum, err := RunMany(Config{Runs: 4, Workers: 2, Rebuild: rebuild}, boom, EaseIO)
+		sum, err := sweep(context.Background(), Config{Runs: 4, Workers: 2}, rebuild, boom, EaseIO)
 		var pe PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("rebuild=%v: err = %v, want a PanicError in the chain", rebuild, err)
@@ -329,5 +385,78 @@ func TestRunRangeAggMatchesRunMany(t *testing.T) {
 
 	if _, err := RunRangeAgg(context.Background(), cfg, dmaFactory, EaseIO, 5, 3); err == nil {
 		t.Error("inverted range did not error")
+	}
+}
+
+// TestBatchSweepByteIdentical pins the fleet's sweep-shard contract per
+// runtime: a sweep cut into contiguous seed batches of width 1, 8 and a
+// ragged 5 (23 runs), each batch run by RunRangeAgg on 1 or 3 workers
+// and merged in seed order, equals the sequential sweep.
+func TestBatchSweepByteIdentical(t *testing.T) {
+	factories := map[string]AppFactory{"dma": dmaFactory, "temp": tempFactory}
+	for name, factory := range factories {
+		for _, kind := range diffRuntimes {
+			t.Run(name+"/"+kind.String(), func(t *testing.T) {
+				base := Config{Runs: 23, BaseSeed: 7, Workers: 1}
+				want, err := RunMany(base, factory, kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range []struct {
+					batch, workers int
+				}{{1, 1}, {8, 1}, {5, 1}, {8, 3}} {
+					cfg := base
+					cfg.Workers = c.workers
+					agg := stats.NewAggregator()
+					for lo := 0; lo < cfg.Runs; lo += c.batch {
+						part, err := RunRangeAgg(context.Background(), cfg, factory, kind, lo, min(lo+c.batch, cfg.Runs))
+						if err != nil {
+							t.Fatal(err)
+						}
+						agg.Merge(part)
+					}
+					if got := agg.Summary(); !reflect.DeepEqual(got, want) {
+						t.Errorf("batch=%d workers=%d summary differs from sequential:\n%+v\nvs\n%+v",
+							c.batch, c.workers, got, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// lockedTrace is a concurrency-safe Tracer for sweep-wide sinks.
+type lockedTrace struct {
+	mu     sync.Mutex
+	events int
+}
+
+func (l *lockedTrace) Event(kernel.TraceEvent) {
+	l.mu.Lock()
+	l.events++
+	l.mu.Unlock()
+}
+
+// TestTraceSinkLeavesSummaryUnchanged pins the observation-hook contract
+// for sweeps: a sweep streaming every run into a TraceSink summarizes
+// exactly like the untraced one, and the sink sees the events.
+func TestTraceSinkLeavesSummaryUnchanged(t *testing.T) {
+	base := Config{Runs: 9, BaseSeed: 3, Workers: 1}
+	want, err := RunMany(base, tempFactory, EaseIO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := base
+	sink := &lockedTrace{}
+	cfg.TraceSink = sink
+	got, err := RunMany(cfg, tempFactory, EaseIO)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("traced sweep summary differs from untraced:\n%+v\nvs\n%+v", got, want)
+	}
+	if sink.events == 0 {
+		t.Error("trace sink received no events")
 	}
 }

@@ -116,10 +116,6 @@ type Config struct {
 	Supply SupplyFactory
 	// Workers bounds parallel simulation (defaults to GOMAXPROCS).
 	Workers int
-	// Rebuild forces the legacy rebuild-per-run path: a fresh app, device
-	// and runtime for every seed instead of per-worker reuse. Kept for
-	// benchmarking the sweep engine against its predecessor.
-	Rebuild bool
 	// Progress, when non-nil, is invoked after every finished seed
 	// (committed or failed) with the cumulative count of finished runs
 	// and the sweep total. It is called from worker goroutines — the
@@ -137,19 +133,6 @@ type Config struct {
 	// written once per sweep after the workers join; do not share it
 	// between concurrent sweeps.
 	Timings *StageTimings
-	// Batch, when > 1, runs each worker's shard in lockstep chunks of up
-	// to Batch pooled devices stepped through the shared program and
-	// compiled kernels together (see kernel.BatchSession). Results are
-	// byte-identical to the sequential path — devices are independent and
-	// folded in seed order — so Batch only changes execution cost, never
-	// results. It is off by default: on the benchmark apps lockstep
-	// measures slower than sequential pooled runs (the interleaved device
-	// working sets evict each other from cache; see DESIGN.md). Ignored
-	// (the sequential path runs) when a TraceSink is set: the sweep-wide
-	// sink expects one run's events at a time per worker, and lockstep
-	// would interleave seeds. Cancellation granularity coarsens from one
-	// seed to one chunk per worker.
-	Batch int
 }
 
 // StageTimings breaks a sweep's host wall-clock cost into stages: where
@@ -189,18 +172,11 @@ func (c Config) fill() Config {
 
 // RunOne executes one seeded run of the app under the runtime kind.
 func RunOne(newApp AppFactory, kind RuntimeKind, supply power.Supply, seed int64) (*stats.Run, error) {
-	return RunOneTraced(newApp, kind, supply, seed, nil)
-}
-
-// RunOneTraced is RunOne with a Tracer installed on the run's device, so
-// the execution timeline streams into tr alongside the statistics.
-func RunOneTraced(newApp AppFactory, kind RuntimeKind, supply power.Supply, seed int64, tr kernel.Tracer) (*stats.Run, error) {
 	bench, err := newApp()
 	if err != nil {
 		return nil, err
 	}
 	dev := kernel.NewDevice(supply, seed)
-	dev.Tracer = tr
 	if err := kernel.RunApp(dev, NewRuntime(kind), bench.App); err != nil {
 		return nil, fmt.Errorf("experiments: %s on %s (seed %d): %w",
 			bench.App.Name, kind, seed, err)

@@ -335,7 +335,7 @@ func (c *Coordinator) Submit(spec Spec) (uint64, error) {
 
 // planLocked computes and logs the job's shard ranges. Sweep plans are
 // pure arithmetic over the spec; check plans run the golden pass, and
-// exhaustive nested (k > 1) checks additionally run the whole level-1
+// nested (k > 1) checks additionally run the whole level-1
 // exploration here, cutting the level-1 frontier into subtree shards.
 func (c *Coordinator) planLocked(j *job) error {
 	parts := j.spec.Shards
@@ -362,11 +362,8 @@ func (c *Coordinator) planLocked(j *job) error {
 		if !ok {
 			return fmt.Errorf("fleet: unknown app %q", j.spec.App)
 		}
-		cfg := check.Config{
-			Seed: j.spec.Seed, Off: j.spec.Off, Grid: j.spec.Grid,
-			Failures: j.spec.Failures, Exhaustive: j.spec.Exhaustive,
-		}
-		if j.spec.Exhaustive && j.spec.Failures > 1 {
+		cfg := check.Config{Seed: j.spec.Seed, Off: j.spec.Off, Failures: j.spec.Failures}
+		if j.spec.Failures > 1 {
 			var err error
 			ranges, ph, level1, tasks, work, err = c.planNestedLocked(j, factory, cfg, parts)
 			if err != nil {
@@ -386,18 +383,7 @@ func (c *Coordinator) planLocked(j *job) error {
 			Candidates: plan.Candidates, Note: plan.Note,
 		}
 		work = plan.Candidates
-		switch {
-		case plan.Candidates == 0:
-			ranges = nil
-		case !j.spec.Exhaustive:
-			// The adaptive bisection prunes against outcomes across the
-			// whole candidate range: one shard, or the merge would not be
-			// byte-identical to the in-process checker. (This also covers
-			// adaptive k > 1 jobs, whose level 1 is adaptive.)
-			ranges = [][2]int{{0, plan.Candidates}}
-		default:
-			ranges = splitRange(0, plan.Candidates, parts)
-		}
+		ranges = splitRange(0, plan.Candidates, parts)
 	}
 	// Plan-time invariant: pending work must yield at least one shard. A
 	// job planned with work but no shards has no completion path — it
@@ -414,7 +400,7 @@ func (c *Coordinator) planLocked(j *job) error {
 	return nil
 }
 
-// planNestedLocked plans an exhaustive nested check: it runs the golden
+// planNestedLocked plans a nested check: it runs the golden
 // pass plus the full level-1 exploration in the coordinator (the level-1
 // range is never sharded — representative selection is a function of
 // outcomes across the whole range), then cuts the level-1 frontier into
@@ -443,7 +429,7 @@ func (c *Coordinator) planNestedLocked(j *job, factory experiments.AppFactory, c
 		return [][2]int{{0, np.Plan.Candidates}}, ph, nil, nil, np.Plan.Candidates, nil
 	}
 	level1 = wire.AppendCheckResult(nil, wire.CheckResult{
-		Job: j.id, Explored: np.Explored, Pruned: np.Pruned, Divergences: np.Divergences,
+		Job: j.id, Explored: np.Explored, Divergences: np.Divergences,
 	})
 	ranges = splitRange(0, len(np.Seeds), parts)
 	tasks = make([][]byte, len(ranges))
@@ -466,8 +452,7 @@ func (c *Coordinator) planNestedLocked(j *job, factory experiments.AppFactory, c
 		tasks[i] = wire.AppendSubtreeShard(nil, wire.SubtreeShard{
 			Job: j.id, Shard: i, App: j.spec.App, Runtime: j.spec.Runtime,
 			Seed: j.spec.Seed, Off: ph.Off, Failures: j.spec.Failures,
-			Exhaustive: true, Grid: j.spec.Grid, Workers: j.spec.ShardWorkers,
-			Roots: roots,
+			Workers: j.spec.ShardWorkers, Roots: roots,
 		})
 	}
 	return ranges, ph, level1, tasks, len(np.Seeds), nil
@@ -574,8 +559,7 @@ func (c *Coordinator) encodeTask(j *job, idx int, sh *shardState) []byte {
 	return wire.AppendCheckShard(nil, wire.CheckShard{
 		Job: j.id, Shard: idx, App: s.App, Runtime: s.Runtime,
 		Seed: s.Seed, Off: j.plan.Off, CutLo: sh.lo, CutHi: sh.hi,
-		Exhaustive: s.Exhaustive, Grid: s.Grid, Workers: s.ShardWorkers,
-		Failures: s.Failures,
+		Workers: s.ShardWorkers, Failures: s.Failures,
 	})
 }
 
@@ -796,7 +780,7 @@ func (c *Coordinator) mergeSubtreeJob(j *job, failures int) (*check.Report, erro
 			GoldenOnTime: j.plan.GoldenOnTime, GoldenCorrect: j.plan.GoldenCorrect,
 			Candidates: j.plan.Candidates, Note: j.plan.Note,
 		},
-		Explored: l1.Explored, Pruned: l1.Pruned, Divergences: l1.Divergences,
+		Explored: l1.Explored, Divergences: l1.Divergences,
 	}
 	parts := make([]check.SubtreeReport, 0, len(j.shards))
 	for i, sh := range j.shards {

@@ -49,7 +49,7 @@ var crashSpec = Spec{
 // two subtree shards whose root checkpoints must survive the WAL.
 var nestedCrashSpec = Spec{
 	Mode: ModeCheck, App: "fig6", Runtime: "Alpaca",
-	Exhaustive: true, Failures: 2, Shards: 4,
+	Failures: 2, Shards: 4,
 }
 
 // coordinatorHelperMain is the victim coordinator: it submits the crash
@@ -218,7 +218,7 @@ func TestCrashCoordinatorMidNestedJob(t *testing.T) {
 	res := waitResult(t, c, id)
 
 	want, werr := check.Run(context.Background(), check.Fig6Bench, experiments.Alpaca,
-		check.Config{Exhaustive: true, Failures: 2, Workers: 2})
+		check.Config{Failures: 2, Workers: 2})
 	if werr != nil {
 		t.Fatal(werr)
 	}

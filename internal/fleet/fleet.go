@@ -1,6 +1,6 @@
 // Package fleet is the distributed sweep/check subsystem: a coordinator
 // that shards jobs across N workers — sweep jobs by contiguous seed
-// range, exhaustive check jobs by candidate cut range — and merges shard
+// range, check jobs by candidate cut range — and merges shard
 // results back into exactly the Summary or Report a single process would
 // have produced.
 //
@@ -16,12 +16,10 @@
 // Determinism: the merged results are byte-identical to the in-process
 // engines (experiments.RunMany, check.Run) because both engines fold
 // order-dependent state only — a sweep shard ships its raw
-// stats.AggregatorState and shards merge in seed order; an exhaustive
-// check shard ships divergences under absolute candidate indices and
-// shards concatenate in cut order onto the plan's golden header.
-// Adaptive (bisection) checks stay a single shard: their pruning
-// decisions depend on outcomes across the whole candidate range.
-// Exhaustive nested (k > 1) checks run level 1 in the coordinator —
+// stats.AggregatorState and shards merge in seed order; a check shard
+// ships divergences under absolute candidate indices and shards
+// concatenate in cut order onto the plan's golden header. Nested
+// (k > 1) checks run level 1 in the coordinator —
 // representative selection is likewise a whole-range decision — then
 // shard the level-1 frontier as subtree work units (wire.SubtreeShard):
 // each carries a contiguous group of root checkpoints that a stateless
@@ -67,15 +65,11 @@ type Spec struct {
 	BaseSeed int64
 
 	// Check: the replayed seed and the exploration parameters. Failures
-	// is the nested-failure depth k (0 defaults to 1). Exhaustive k > 1
-	// jobs shard at the level-1 frontier (subtree work units); adaptive
-	// k > 1 jobs stay a single shard, because their level-1 pruning
-	// depends on outcomes across the whole candidate range.
-	Seed       int64
-	Off        time.Duration
-	Grid       int
-	Exhaustive bool
-	Failures   int
+	// is the nested-failure depth k (0 defaults to 1); k > 1 jobs shard
+	// at the level-1 frontier (subtree work units).
+	Seed     int64
+	Off      time.Duration
+	Failures int
 
 	// Shards is the desired shard count (defaults to the coordinator's
 	// configured default; clamped to the available work).

@@ -9,6 +9,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/hex"
 	"net"
 	"os"
 	"path/filepath"
@@ -141,26 +142,20 @@ func TestFleetSweepByteIdentity(t *testing.T) {
 	}
 }
 
-// TestFleetCheckByteIdentity pins the checker half: an exhaustive check
-// sharded by cut range (and an adaptive check, which plans as a single
-// shard) renders byte-identically to check.Run.
+// TestFleetCheckByteIdentity pins the checker half: a check sharded by
+// cut range renders byte-identically to check.Run.
 func TestFleetCheckByteIdentity(t *testing.T) {
 	c := newTestCoordinator(t, nil)
 	startLoopback(t, c, 2)
 
 	for _, kind := range checkKinds {
-		spec := Spec{
-			Mode: ModeCheck, App: "fig6", Runtime: kind.String(),
-			Exhaustive: true, Shards: 2,
-		}
-		id, err := c.Submit(spec)
+		id, err := c.Submit(Spec{Mode: ModeCheck, App: "fig6", Runtime: kind.String(), Shards: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		res := waitResult(t, c, id)
 
-		want, werr := check.Run(context.Background(), check.Fig6Bench, kind,
-			check.Config{Exhaustive: true})
+		want, werr := check.Run(context.Background(), check.Fig6Bench, kind, check.Config{})
 		if werr != nil {
 			t.Fatalf("%s reference: %v", kind, werr)
 		}
@@ -168,24 +163,6 @@ func TestFleetCheckByteIdentity(t *testing.T) {
 			t.Errorf("%s: fleet report differs from check.Run:\n--- fleet ---\n%s--- direct ---\n%s",
 				kind, res.Report.Render(), want.Render())
 		}
-	}
-
-	// Adaptive mode: the planner must collapse to one shard, and the
-	// merged report must still match the in-process adaptive checker.
-	spec := Spec{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Grid: 16, Shards: 4}
-	id, err := c.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := waitResult(t, c, id)
-	want, werr := check.Run(context.Background(), check.Fig6Bench, experiments.EaseIO,
-		check.Config{Grid: 16})
-	if werr != nil {
-		t.Fatal(werr)
-	}
-	if res.Report.Render() != want.Render() {
-		t.Errorf("adaptive: fleet report differs:\n--- fleet ---\n%s--- direct ---\n%s",
-			res.Report.Render(), want.Render())
 	}
 }
 
@@ -214,7 +191,7 @@ func TestFleetNestedCheckByteIdentity(t *testing.T) {
 	} {
 		spec := Spec{
 			Mode: ModeCheck, App: tc.app, Runtime: tc.kind.String(),
-			Exhaustive: true, Failures: 2, Shards: 4, ShardWorkers: 2,
+			Failures: 2, Shards: 4, ShardWorkers: 2,
 		}
 		id, err := c.Submit(spec)
 		if err != nil {
@@ -230,7 +207,7 @@ func TestFleetNestedCheckByteIdentity(t *testing.T) {
 		}
 
 		want, werr := check.Run(context.Background(), tc.factory, tc.kind,
-			check.Config{Exhaustive: true, Failures: 2, Workers: 2})
+			check.Config{Failures: 2, Workers: 2})
 		if werr != nil {
 			t.Fatalf("%s/%s reference: %v", tc.app, tc.kind, werr)
 		}
@@ -265,7 +242,7 @@ func TestFinishedJobReleasesShardBytes(t *testing.T) {
 	stop := startLoopback(t, c, 2)
 	id, err := c.Submit(Spec{
 		Mode: ModeCheck, App: "fig6", Runtime: experiments.Alpaca.String(),
-		Exhaustive: true, Failures: 2, Shards: 4, ShardWorkers: 2,
+		Failures: 2, Shards: 4, ShardWorkers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -483,7 +460,7 @@ func TestFleetTCPByteIdentity(t *testing.T) {
 	// report must still be byte-identical to the in-process checker.
 	nspec := Spec{
 		Mode: ModeCheck, App: "fig6", Runtime: "Alpaca",
-		Exhaustive: true, Failures: 2, Shards: 4, ShardWorkers: 2,
+		Failures: 2, Shards: 4, ShardWorkers: 2,
 	}
 	nid, err := c.Submit(nspec)
 	if err != nil {
@@ -491,7 +468,7 @@ func TestFleetTCPByteIdentity(t *testing.T) {
 	}
 	nres := waitResult(t, c, nid)
 	nwant, werr := check.Run(context.Background(), check.Fig6Bench, experiments.Alpaca,
-		check.Config{Exhaustive: true, Failures: 2, Workers: 2})
+		check.Config{Failures: 2, Workers: 2})
 	if werr != nil {
 		t.Fatal(werr)
 	}
@@ -513,7 +490,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		}},
 		{Type: recSubmit, Job: 4, Spec: Spec{
 			Mode: ModeCheck, App: "fig6", Runtime: "Alpaca",
-			Seed: 17, Off: 3 * time.Millisecond, Grid: 64, Exhaustive: true,
+			Seed: 17, Off: 3 * time.Millisecond,
 		}},
 		{Type: recPlan, Job: 3, Shards: [][2]int{{0, 20}, {20, 40}}},
 		{Type: recPlan, Job: 4, HasPlan: true, Plan: planHeader{
@@ -685,7 +662,7 @@ func TestCoordinatorRecovery(t *testing.T) {
 func TestRecoveryReplansMissingPlan(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fleet.wal")
-	spec := Spec{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Exhaustive: true, Shards: 2}
+	spec := Spec{Mode: ModeCheck, App: "fig6", Runtime: "EaseIO", Shards: 2}
 
 	// Hand-write a WAL holding only the submit record.
 	w, _, err := openWAL(path, nil)
@@ -706,13 +683,62 @@ func TestRecoveryReplansMissingPlan(t *testing.T) {
 	res := waitResult(t, c, 0)
 
 	want, werr := check.Run(context.Background(), check.Fig6Bench, experiments.EaseIO,
-		check.Config{Exhaustive: true})
+		check.Config{})
 	if werr != nil {
 		t.Fatal(werr)
 	}
 	if res.Report.Render() != want.Render() {
 		t.Errorf("re-planned report differs:\n--- fleet ---\n%s--- direct ---\n%s",
 			res.Report.Render(), want.Render())
+	}
+}
+
+// adaptiveSubmitHex is a recSubmit payload captured before adaptive
+// checks were retired: job 0 checks branch under Alpaca in two shards,
+// with the exhaustive flag off and a grid of 128.
+const adaptiveSubmitHex = "010005636865636b066272616e636806416c7061636100000000800200000400"
+
+// TestWALReplaysAdaptiveSubmit pins the frozen recSubmit layout: a WAL
+// holding an adaptive job's submit record from before the retirement
+// still decodes, and the replayed job completes with the exhaustive
+// report (the adaptive one explored 130 of 215 points and found 54 of
+// the 90 divergences).
+func TestWALReplaysAdaptiveSubmit(t *testing.T) {
+	payload, err := hex.DecodeString(adaptiveSubmitHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := decodeRecord(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := record{Type: recSubmit, Job: 0, Spec: Spec{Mode: ModeCheck, App: "branch", Runtime: "Alpaca", Shards: 2}}
+	if !reflect.DeepEqual(rec, want) {
+		t.Fatalf("decoded %+v, want %+v", rec, want)
+	}
+
+	path := filepath.Join(t.TempDir(), "fleet.wal")
+	if err := os.WriteFile(path, wire.AppendFrame(nil, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(CoordinatorConfig{WALPath: path, Source: testApps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	startLoopback(t, c, 2)
+	res := waitResult(t, c, 0)
+
+	ref, err := check.Run(context.Background(), testApps["branch"], experiments.Alpaca, check.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.Render() != ref.Render() {
+		t.Errorf("replayed adaptive job differs from the exhaustive check:\n--- fleet ---\n%s--- direct ---\n%s",
+			res.Report.Render(), ref.Render())
+	}
+	if res.Report.Explored != res.Report.Candidates {
+		t.Errorf("replayed job explored %d of %d candidates", res.Report.Explored, res.Report.Candidates)
 	}
 }
 

@@ -31,7 +31,7 @@ func TestFleetNestedCheckK3ByteIdentity(t *testing.T) {
 	for _, kind := range checkKinds {
 		spec := Spec{
 			Mode: ModeCheck, App: "fig6", Runtime: kind.String(),
-			Exhaustive: true, Failures: 3, Shards: 4, ShardWorkers: 2,
+			Failures: 3, Shards: 4, ShardWorkers: 2,
 		}
 		id, err := c.Submit(spec)
 		if err != nil {
@@ -40,7 +40,7 @@ func TestFleetNestedCheckK3ByteIdentity(t *testing.T) {
 		res := waitResult(t, c, id)
 
 		want, werr := check.Run(context.Background(), check.Fig6Bench, kind,
-			check.Config{Exhaustive: true, Failures: 3, Workers: 2})
+			check.Config{Failures: 3, Workers: 2})
 		if werr != nil {
 			t.Fatalf("%s reference: %v", kind, werr)
 		}

@@ -19,7 +19,7 @@ func TestFinishedCheckJobKeepsPackedReport(t *testing.T) {
 	stop := startLoopback(t, c, 2)
 
 	want, err := check.Run(context.Background(), check.Fig6Bench, experiments.Alpaca,
-		check.Config{Exhaustive: true, Failures: 2})
+		check.Config{Failures: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestFinishedCheckJobKeepsPackedReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	id, err := c.Submit(Spec{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca",
-		Exhaustive: true, Failures: 2, Shards: 2})
+		Failures: 2, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,8 +121,9 @@ func (r record) encode() []byte {
 		b = wire.AppendVarint(b, s.BaseSeed)
 		b = wire.AppendVarint(b, s.Seed)
 		b = wire.AppendVarint(b, int64(s.Off))
-		b = wire.AppendVarint(b, int64(s.Grid))
-		b = wire.AppendBool(b, s.Exhaustive)
+		// Retired grid size and exhaustive flag, kept so older WALs replay.
+		b = wire.AppendVarint(b, 0)
+		b = wire.AppendBool(b, true)
 		b = wire.AppendVarint(b, int64(s.Failures))
 		b = wire.AppendVarint(b, int64(s.Shards))
 		b = wire.AppendVarint(b, int64(s.ShardWorkers))
@@ -183,19 +184,20 @@ func decodeRecord(b []byte) (record, error) {
 	switch r.Type {
 	case recSubmit:
 		r.Spec = Spec{
-			Mode:         d.String(),
-			App:          d.String(),
-			Runtime:      d.String(),
-			Runs:         int(d.Varint()),
-			BaseSeed:     d.Varint(),
-			Seed:         d.Varint(),
-			Off:          time.Duration(d.Varint()),
-			Grid:         int(d.Varint()),
-			Exhaustive:   d.Bool(),
-			Failures:     int(d.Varint()),
-			Shards:       int(d.Varint()),
-			ShardWorkers: int(d.Varint()),
+			Mode:     d.String(),
+			App:      d.String(),
+			Runtime:  d.String(),
+			Runs:     int(d.Varint()),
+			BaseSeed: d.Varint(),
+			Seed:     d.Varint(),
+			Off:      time.Duration(d.Varint()),
 		}
+		// Retired grid size and exhaustive flag, kept so older WALs replay.
+		d.Varint()
+		d.Bool()
+		r.Spec.Failures = int(d.Varint())
+		r.Spec.Shards = int(d.Varint())
+		r.Spec.ShardWorkers = int(d.Varint())
 	case recPlan:
 		r.HasPlan = d.Bool()
 		if r.HasPlan {

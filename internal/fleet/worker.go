@@ -35,12 +35,6 @@ func ExecuteShard(ctx context.Context, src BlueprintSource, task []byte) ([]byte
 		if err != nil {
 			return nil, err
 		}
-		// Shards run unbatched: lockstep width would be a purely local
-		// knob (the fold is byte-identical at any width, so the wire
-		// format deliberately carries no batch field), but measured
-		// steady-state lockstep is slower than pooled sequential runs on
-		// the benchmark apps — interleaved device working sets evict each
-		// other from cache (see DESIGN.md on batch lockstep).
 		cfg := experiments.Config{Runs: s.Hi, BaseSeed: s.BaseSeed, Workers: s.Workers}
 		agg, runErr := experiments.RunRangeAgg(ctx, cfg, factory, rt, s.Lo, s.Hi)
 		if err := ctx.Err(); err != nil {
@@ -65,8 +59,7 @@ func ExecuteShard(ctx context.Context, src BlueprintSource, task []byte) ([]byte
 		}
 		rep, err := check.Run(ctx, factory, rt, check.Config{
 			Seed: s.Seed, Off: s.Off, Failures: s.Failures, FromBoot: s.FromBoot,
-			CutLo: s.CutLo, CutHi: s.CutHi,
-			Exhaustive: s.Exhaustive, Grid: s.Grid, Workers: s.Workers,
+			CutLo: s.CutLo, CutHi: s.CutHi, Workers: s.Workers,
 		})
 		if err != nil {
 			return nil, err
@@ -99,8 +92,7 @@ func ExecuteShard(ctx context.Context, src BlueprintSource, task []byte) ([]byte
 			}
 		}
 		rep, err := check.RunSubtree(ctx, factory, rt, check.Config{
-			Seed: s.Seed, Off: s.Off, Failures: s.Failures,
-			Exhaustive: s.Exhaustive, Grid: s.Grid, Workers: s.Workers,
+			Seed: s.Seed, Off: s.Off, Failures: s.Failures, Workers: s.Workers,
 		}, roots)
 		if err != nil {
 			return nil, err

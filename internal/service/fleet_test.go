@@ -113,7 +113,7 @@ func TestFleetManagerByteIdentity(t *testing.T) {
 	}
 	cbp, _ := reg.Lookup("branch")
 	wantRep, werr := check.Run(context.Background(), cbp.Factory, experiments.Alpaca,
-		check.Config{Exhaustive: true})
+		check.Config{})
 	if werr != nil {
 		t.Fatal(werr)
 	}

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -182,11 +183,30 @@ func (s *Server) handleBlueprints(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, infos)
 }
 
+// maxSubmitBytes caps a job request body. A JobSpec is a handful of
+// short fields; anything near this size is not a job request.
+const maxSubmitBytes = 64 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	var tooBig *http.MaxBytesError
+	err := dec.Decode(&spec)
+	if err == nil {
+		// Exactly one JSON object: anything after it is a malformed request.
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("service: trailing data after the job spec")
+			if errors.As(terr, &tooBig) {
+				err = terr
+			}
+		}
+	}
+	switch {
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+		return
+	case err != nil:
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}

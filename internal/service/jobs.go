@@ -80,23 +80,16 @@ type JobSpec struct {
 	Runs int `json:"runs,omitempty"`
 	// BaseSeed offsets the per-run seeds (a check job's single seed).
 	BaseSeed int64 `json:"base_seed"`
-	// Workers bounds the job's parallelism (defaults to GOMAXPROCS); the
-	// result is worker-count-invariant either way.
+	// Workers bounds the job's parallelism (0 defaults to GOMAXPROCS, at
+	// most maxJobWorkers); the result is worker-count-invariant either
+	// way.
 	Workers int `json:"workers,omitempty"`
-	// Batch, when > 1, asks a sweep job's workers to run their seeds in
-	// lockstep chunks of up to Batch pooled devices (see
-	// experiments.Config.Batch). Purely a throughput knob: the summary is
-	// byte-identical to an unbatched run. At most 1024. Check jobs and
-	// fleet-delegated jobs ignore it (fleet workers choose their own
-	// batching; the wire shard format carries no batch field).
-	Batch int `json:"batch,omitempty"`
 	// TimeoutMs, when positive, bounds the job's total lifetime (queue
 	// wait plus execution); an expired job is cancelled at the next seed
 	// or failure-point boundary. At most 24 hours.
 	TimeoutMs int64 `json:"timeout_ms,omitempty"`
-	// CheckGrid is the check-mode exploration grid (defaults to 128);
-	// CheckExhaustive replays every candidate failure point.
-	CheckGrid       int  `json:"check_grid,omitempty"`
+	// CheckExhaustive is a no-op kept for existing clients: every check
+	// job replays every candidate failure point.
 	CheckExhaustive bool `json:"check_exhaustive,omitempty"`
 	// Failures is the check-mode nested-failure depth k: schedules
 	// inject up to this many failures, each landing on the previous
@@ -347,9 +340,10 @@ func (m *Manager) RunningJobs() int { return int(m.running.Load()) }
 // client bug, not a workload.
 const maxJobTimeout = 24 * time.Hour
 
-// maxJobBatch bounds JobSpec.Batch: each batch slot owns a full device
-// plus app instance, so an absurd width is a client bug, not a workload.
-const maxJobBatch = 1024
+// maxJobWorkers bounds JobSpec.Workers: each worker builds its own app
+// instance and device, so an absurd count is a client bug that would
+// exhaust memory, not a workload.
+const maxJobWorkers = 256
 
 // Submit validates and enqueues a job. It never blocks: a full queue
 // returns ErrQueueFull immediately (the HTTP layer's 429).
@@ -378,9 +372,6 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 		if spec.Runs != 0 {
 			return nil, fmt.Errorf("service: check job does not take a run count (got %d)", spec.Runs)
 		}
-		if spec.Batch != 0 {
-			return nil, fmt.Errorf("service: check job does not take a batch width (got %d)", spec.Batch)
-		}
 		if spec.Failures != 0 {
 			if err := check.ValidateFailures(spec.Failures); err != nil {
 				return nil, fmt.Errorf("service: %w", err)
@@ -392,8 +383,8 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	if spec.TimeoutMs < 0 || time.Duration(spec.TimeoutMs)*time.Millisecond > maxJobTimeout {
 		return nil, fmt.Errorf("service: timeout %d ms out of range (want 0 for none, at most 24h)", spec.TimeoutMs)
 	}
-	if spec.Batch < 0 || spec.Batch > maxJobBatch {
-		return nil, fmt.Errorf("service: batch width %d out of range (want 0-%d)", spec.Batch, maxJobBatch)
+	if spec.Workers < 0 || spec.Workers > maxJobWorkers {
+		return nil, fmt.Errorf("service: workers %d out of range (want 0 for the default, at most %d)", spec.Workers, maxJobWorkers)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -587,7 +578,6 @@ func (m *Manager) runJob(j *Job) {
 		Runs:     j.Spec.Runs,
 		BaseSeed: j.Spec.BaseSeed,
 		Workers:  j.Spec.Workers,
-		Batch:    j.Spec.Batch,
 		Progress: func(done, total int) {
 			j.done.Store(int64(done))
 			m.metrics.RunsCompleted.Add(1)
@@ -647,9 +637,9 @@ func (m *Manager) observeFinished(j *Job, jl *slog.Logger) {
 // runFleetJob delegates one job to the fleet coordinator and waits for
 // the merged result — byte-identical to what the in-process path would
 // have produced, so delegation changes scheduling, never results. That
-// includes exhaustive nested (k > 1) checks, which the coordinator
-// shards at the level-1 frontier so the checkpoint tree's subtrees grow
-// on fleet workers. While waiting, a watcher mirrors shard progress
+// includes nested (k > 1) checks, which the coordinator shards at the
+// level-1 frontier so the checkpoint tree's subtrees grow on fleet
+// workers. While waiting, a watcher mirrors shard progress
 // into the job (Progress counts shards, not seeds, in fleet mode) and
 // arms the execution deadline when the first shard lease is granted.
 func (m *Manager) runFleetJob(j *Job) {
@@ -663,8 +653,6 @@ func (m *Manager) runFleetJob(j *Job) {
 		fspec.Runs = 0
 		fspec.BaseSeed = 0
 		fspec.Seed = j.Spec.BaseSeed
-		fspec.Grid = j.Spec.CheckGrid
-		fspec.Exhaustive = j.Spec.CheckExhaustive
 		fspec.Failures = j.Spec.Failures
 	}
 	fid, err := m.fleet.Submit(fspec)
@@ -778,11 +766,9 @@ func (m *Manager) watchFleetJob(j *Job, fid uint64, mode string, done <-chan str
 // cancellation is a non-success.
 func (m *Manager) runCheckJob(j *Job) {
 	cfg := check.Config{
-		Seed:       j.Spec.BaseSeed,
-		Failures:   j.Spec.Failures,
-		Grid:       j.Spec.CheckGrid,
-		Exhaustive: j.Spec.CheckExhaustive,
-		Workers:    j.Spec.Workers,
+		Seed:     j.Spec.BaseSeed,
+		Failures: j.Spec.Failures,
+		Workers:  j.Spec.Workers,
 		Progress: func(explored, planned int) {
 			j.done.Store(int64(explored))
 			j.total.Store(int64(planned))

@@ -44,7 +44,7 @@ func TestFinishedCheckJobKeepsPackedReport(t *testing.T) {
 			bp, _ := reg.Lookup(spec.App)
 			kind, _ := experiments.ParseRuntimeKind(spec.Runtime)
 			want, err := check.Run(context.Background(), bp.Factory, kind, check.Config{
-				Seed: spec.BaseSeed, Exhaustive: true, Failures: spec.Failures})
+				Seed: spec.BaseSeed, Failures: spec.Failures})
 			if err != nil {
 				t.Fatalf("%s: reference: %v", name, err)
 			}

@@ -397,6 +397,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // text and the HTTP 400 mapping pinned.
 func TestSubmitValidation(t *testing.T) {
 	mgr, _, metrics, srv := newTestStack(t, 4, 1)
+	fleetMgr, _, _ := newFleetStack(t)
 
 	cases := []struct {
 		name    string
@@ -458,6 +459,16 @@ func TestSubmitValidation(t *testing.T) {
 			spec:    JobSpec{App: "dma", Runtime: "EaseIO", Mode: "check", Failures: -1},
 			wantErr: "service: check: failure depth -1 out of range [1, 4]",
 		},
+		{
+			name:    "negative workers",
+			spec:    JobSpec{App: "dma", Runtime: "EaseIO", Runs: 4, Workers: -1},
+			wantErr: "service: workers -1 out of range (want 0 for the default, at most 256)",
+		},
+		{
+			name:    "absurd workers",
+			spec:    JobSpec{App: "dma", Runtime: "EaseIO", Mode: "check", Workers: maxJobWorkers + 1},
+			wantErr: "service: workers 257 out of range (want 0 for the default, at most 256)",
+		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -467,6 +478,11 @@ func TestSubmitValidation(t *testing.T) {
 			}
 			if err.Error() != c.wantErr {
 				t.Errorf("error = %q,\nwant    %q", err.Error(), c.wantErr)
+			}
+			// A fleet-mode manager validates before delegating: the same
+			// rejection, never a 202 followed by a failed job.
+			if _, err := fleetMgr.Submit(c.spec); err == nil || err.Error() != c.wantErr {
+				t.Errorf("fleet mode: error = %v, want %q", err, c.wantErr)
 			}
 
 			// The HTTP layer must map every validation error to 400 with the
@@ -493,9 +509,24 @@ func TestSubmitValidation(t *testing.T) {
 		})
 	}
 
-	// A spec with an unknown JSON field dies in the decoder, also a 400.
-	if _, code := postJob(t, srv.URL, `{"app":"dma","bogus":1}`); code != http.StatusBadRequest {
-		t.Errorf("unknown field: status %d, want 400", code)
+	// Malformed bodies die in the decoder: an unknown JSON field (the
+	// retired check_grid and batch knobs among them) or trailing data is
+	// a 400, an oversized body a 413.
+	for _, bad := range []struct {
+		name, body string
+		want       int
+	}{
+		{"unknown field", `{"app":"dma","bogus":1}`, http.StatusBadRequest},
+		{"check_grid", `{"app":"temp","runtime":"EaseIO","mode":"check","check_grid":24}`, http.StatusBadRequest},
+		{"batch", `{"app":"dma","runtime":"EaseIO","runs":4,"batch":8}`, http.StatusBadRequest},
+		{"trailing object", `{"app":"dma","runtime":"EaseIO","runs":4}{"app":"dma"}`, http.StatusBadRequest},
+		{"trailing garbage", `{"app":"dma","runtime":"EaseIO","runs":4} x`, http.StatusBadRequest},
+		{"oversized", `{"app":"dma","runtime":"EaseIO","runs":4,"mode":"` + strings.Repeat("x", maxSubmitBytes) + `"}`,
+			http.StatusRequestEntityTooLarge},
+	} {
+		if _, code := postJob(t, srv.URL, bad.body); code != bad.want {
+			t.Errorf("%s: status %d, want %d", bad.name, code, bad.want)
+		}
 	}
 	// None of the rejections may consume a queue slot.
 	if got := metrics.JobsAccepted.Load(); got != 0 {
@@ -510,7 +541,7 @@ func TestCheckJobOverHTTP(t *testing.T) {
 	_, _, metrics, srv := newTestStack(t, 4, 1)
 
 	st, code := postJob(t, srv.URL,
-		`{"app":"temp","runtime":"EaseIO","mode":"check","base_seed":3,"check_grid":24,"workers":2}`)
+		`{"app":"temp","runtime":"EaseIO","mode":"check","base_seed":3,"workers":2}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
@@ -533,13 +564,12 @@ func TestCheckJobOverHTTP(t *testing.T) {
 	}
 
 	direct, err := check.Run(context.Background(), tempBenchFactory, experiments.EaseIO,
-		check.Config{Seed: 3, Grid: 24, Workers: 2})
+		check.Config{Seed: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Check.Candidates != direct.Candidates || final.Check.Explored != direct.Explored ||
-		final.Check.GoldenOnTime != direct.GoldenOnTime {
-		t.Errorf("HTTP report differs from in-process checker:\n%+v\nvs\n%+v", final.Check, direct)
+	if final.Check.Render() != direct.Render() {
+		t.Errorf("HTTP report differs from in-process checker:\n%s\nvs\n%s", final.Check.Render(), direct.Render())
 	}
 
 	if got := metrics.CheckPoints.Load(); got != int64(direct.Explored) {

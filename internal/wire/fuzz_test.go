@@ -67,7 +67,7 @@ func FuzzDecodeShard(f *testing.F) {
 		Runtime: "ease-io", BaseSeed: 7, Lo: 0, Hi: 100, Workers: 2}))
 	f.Add(AppendCheckShard(nil, CheckShard{Job: 2, Shard: 1, App: "dma",
 		Runtime: "alpaca", Seed: 3, Off: 3 * time.Millisecond, CutLo: 4,
-		CutHi: 32, Exhaustive: true, Grid: 33, Workers: 1}))
+		CutHi: 32, Workers: 1}))
 	agg := stats.AggregatorState{App: "fir", Runtime: "ink", Runs: 2,
 		Totals: []time.Duration{time.Millisecond, 2 * time.Millisecond}}
 	f.Add(AppendSweepResult(nil, SweepResult{Job: 1, Shard: 0, Agg: agg, Errs: []string{"x"}}))
@@ -133,8 +133,7 @@ func FuzzDecodeSubtreeShard(f *testing.F) {
 		rootCp = b
 	}
 	f.Add(AppendSubtreeShard(nil, SubtreeShard{Job: 3, Shard: 2, App: "fig6",
-		Runtime: "ease-io", Seed: 42, Off: time.Millisecond, Failures: 2,
-		Exhaustive: true, Grid: 128, Workers: 2,
+		Runtime: "ease-io", Seed: 42, Off: time.Millisecond, Failures: 2, Workers: 2,
 		Roots: []SubtreeRoot{{
 			Schedule:   []time.Duration{5 * time.Millisecond},
 			Collapsed:  3,

@@ -25,28 +25,24 @@ type SweepShard struct {
 
 // CheckShard describes one worker's slice of a checker job: explore
 // candidate failure points CutLo … CutHi-1 against the coordinator's
-// golden plan. Only exhaustive checks shard (the adaptive bisection
-// prunes against global state, so adaptive jobs are one shard covering
-// the full range).
+// golden plan.
 type CheckShard struct {
 	Job     uint64
 	Shard   int
 	App     string
 	Runtime string
 
-	Seed       int64
-	Off        time.Duration
-	FromBoot   bool
-	CutLo      int
-	CutHi      int // candidate range [CutLo, CutHi); 0,0 = full range
-	Exhaustive bool
-	Grid       int
-	Workers    int
+	Seed     int64
+	Off      time.Duration
+	FromBoot bool
+	CutLo    int
+	CutHi    int // candidate range [CutLo, CutHi); 0,0 = full range
+	Workers  int
 	// Failures is the nested-failure depth k (0 defaults to 1). A
-	// CheckShard runs the whole check in one piece, so adaptive k > 1
-	// jobs (and runtimes that cannot checkpoint) use it as a single
-	// full-range shard; exhaustive k > 1 jobs ship SubtreeShard work
-	// units instead (subtree.go).
+	// CheckShard runs the whole check in one piece, so a k > 1 job uses
+	// it only as the single full-range shard of a runtime that cannot
+	// checkpoint; other k > 1 jobs ship SubtreeShard work units instead
+	// (subtree.go).
 	Failures int
 }
 
@@ -119,8 +115,9 @@ func AppendCheckShard(dst []byte, s CheckShard) []byte {
 	dst = appendBool(dst, s.FromBoot)
 	dst = appendVarint(dst, int64(s.CutLo))
 	dst = appendVarint(dst, int64(s.CutHi))
-	dst = appendBool(dst, s.Exhaustive)
-	dst = appendVarint(dst, int64(s.Grid))
+	// Retired exhaustive flag and grid size, kept so WAL-held shards decode.
+	dst = appendBool(dst, true)
+	dst = appendVarint(dst, 0)
 	dst = appendVarint(dst, int64(s.Workers))
 	return appendVarint(dst, int64(s.Failures))
 }
@@ -130,20 +127,21 @@ func DecodeCheckShard(b []byte) (CheckShard, error) {
 	d := &dec{b: b}
 	d.header(KindCheckShard)
 	s := CheckShard{
-		Job:        d.uvarint(),
-		Shard:      int(d.varint()),
-		App:        d.string(),
-		Runtime:    d.string(),
-		Seed:       d.varint(),
-		Off:        time.Duration(d.varint()),
-		FromBoot:   d.bool(),
-		CutLo:      int(d.varint()),
-		CutHi:      int(d.varint()),
-		Exhaustive: d.bool(),
-		Grid:       int(d.varint()),
-		Workers:    int(d.varint()),
-		Failures:   int(d.varint()),
+		Job:      d.uvarint(),
+		Shard:    int(d.varint()),
+		App:      d.string(),
+		Runtime:  d.string(),
+		Seed:     d.varint(),
+		Off:      time.Duration(d.varint()),
+		FromBoot: d.bool(),
+		CutLo:    int(d.varint()),
+		CutHi:    int(d.varint()),
 	}
+	// Retired exhaustive flag and grid size, kept so WAL-held shards decode.
+	d.bool()
+	d.varint()
+	s.Workers = int(d.varint())
+	s.Failures = int(d.varint())
 	if d.err != nil {
 		return CheckShard{}, d.err
 	}

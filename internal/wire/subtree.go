@@ -39,13 +39,11 @@ type SubtreeShard struct {
 	App     string
 	Runtime string
 
-	Seed       int64
-	Off        time.Duration
-	Failures   int // total exploration depth k (the roots sit at depth 2)
-	Exhaustive bool
-	Grid       int
-	Workers    int
-	Roots      []SubtreeRoot
+	Seed     int64
+	Off      time.Duration
+	Failures int // total exploration depth k (the roots sit at depth 2)
+	Workers  int
+	Roots    []SubtreeRoot
 }
 
 // SubtreeResult is a worker's completed subtree shard: the per-depth
@@ -69,8 +67,9 @@ func AppendSubtreeShard(dst []byte, s SubtreeShard) []byte {
 	dst = appendVarint(dst, s.Seed)
 	dst = appendVarint(dst, int64(s.Off))
 	dst = appendVarint(dst, int64(s.Failures))
-	dst = appendBool(dst, s.Exhaustive)
-	dst = appendVarint(dst, int64(s.Grid))
+	// Retired exhaustive flag and grid size, kept so WAL-held shards decode.
+	dst = appendBool(dst, true)
+	dst = appendVarint(dst, 0)
 	dst = appendVarint(dst, int64(s.Workers))
 	dst = appendUvarint(dst, uint64(len(s.Roots)))
 	for _, r := range s.Roots {
@@ -92,17 +91,18 @@ func DecodeSubtreeShard(b []byte) (SubtreeShard, error) {
 	d := &dec{b: b}
 	d.header(KindSubtreeShard)
 	s := SubtreeShard{
-		Job:        d.uvarint(),
-		Shard:      int(d.varint()),
-		App:        d.string(),
-		Runtime:    d.string(),
-		Seed:       d.varint(),
-		Off:        time.Duration(d.varint()),
-		Failures:   int(d.varint()),
-		Exhaustive: d.bool(),
-		Grid:       int(d.varint()),
-		Workers:    int(d.varint()),
+		Job:      d.uvarint(),
+		Shard:    int(d.varint()),
+		App:      d.string(),
+		Runtime:  d.string(),
+		Seed:     d.varint(),
+		Off:      time.Duration(d.varint()),
+		Failures: int(d.varint()),
 	}
+	// Retired exhaustive flag and grid size, kept so WAL-held shards decode.
+	d.bool()
+	d.varint()
+	s.Workers = int(d.varint())
 	// Each root is at least 7 bytes (empty schedule, collapsed, empty
 	// checkpoint, empty base state).
 	if n := d.count(7); d.err == nil && n > 0 {

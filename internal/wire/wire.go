@@ -34,7 +34,10 @@ import (
 // Version is the current encoding version, stamped into every message
 // header. Version 2 added the freshness record to run encodings and the
 // nested-failure fields (depth, per-depth stats, divergence schedules)
-// to check shard/report encodings.
+// to check shard/report encodings. Check and subtree shards still carry
+// the retired exhaustive flag and grid size (written as true and 0, read
+// and discarded): the WAL has no version header of its own and embeds
+// shard tasks, so changing their layout would strand in-flight jobs.
 const Version = 2
 
 // Kind tags a message's type in its header.

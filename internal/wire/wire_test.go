@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"easeio/internal/experiments"
 	"easeio/internal/kernel"
 	"easeio/internal/power"
+	"easeio/internal/rtbase"
 	"easeio/internal/stats"
 )
 
@@ -165,8 +167,7 @@ func TestShardMessagesRoundTrip(t *testing.T) {
 	}
 
 	cs := CheckShard{Job: 8, Shard: 0, App: "dma", Runtime: "alpaca", Seed: 99,
-		Off: 3 * time.Millisecond, FromBoot: true, CutLo: 10, CutHi: 64,
-		Exhaustive: true, Grid: 33, Workers: 2}
+		Off: 3 * time.Millisecond, FromBoot: true, CutLo: 10, CutHi: 64, Workers: 2}
 	gotCS, err := DecodeCheckShard(AppendCheckShard(nil, cs))
 	if err != nil || gotCS != cs {
 		t.Errorf("check shard: got %+v, %v; want %+v", gotCS, err, cs)
@@ -198,6 +199,53 @@ func TestShardMessagesRoundTrip(t *testing.T) {
 	gotEmpty, err := DecodeSweepResult(AppendSweepResult(nil, empty))
 	if err != nil || !reflect.DeepEqual(gotEmpty, empty) {
 		t.Errorf("empty sweep result: got %+v, %v", gotEmpty, err)
+	}
+}
+
+// TestShardLayoutFrozen pins the check and subtree shard layouts to
+// bytes captured before the exhaustive flag and grid size were retired
+// (both written as true and 0 then): they must decode, and re-encode to
+// the same bytes, so a coordinator replaying an older WAL hands workers
+// the shards it planned.
+func TestShardLayoutFrozen(t *testing.T) {
+	const checkHex = "45570203080203646d6106416c70616361c601809bee020014800101000402"
+	wantCS := CheckShard{Job: 8, Shard: 1, App: "dma", Runtime: "Alpaca", Seed: 99,
+		Off: 3 * time.Millisecond, CutLo: 10, CutHi: 64, Workers: 2, Failures: 1}
+	const subtreeHex = "45570208030404666967360645617365494f5480897a04010004010180ade2040604" +
+		"deadbeef020102040601020004"
+	wantSS := SubtreeShard{Job: 3, Shard: 2, App: "fig6", Runtime: "EaseIO", Seed: 42,
+		Off: time.Millisecond, Failures: 2, Workers: 2,
+		Roots: []SubtreeRoot{{
+			Schedule:   []time.Duration{5 * time.Millisecond},
+			Collapsed:  3,
+			Checkpoint: []byte{0xde, 0xad, 0xbe, 0xef},
+			RT: rtbase.BaseWireState{Cur: 1,
+				Slots:    []rtbase.IOSlotState{{TaskID: 1, TaskInst: 2, ExecCount: 3, Completed: true}},
+				TaskInst: []int32{0, 2}},
+		}}}
+
+	b, err := hex.DecodeString(checkHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := DecodeCheckShard(b)
+	if err != nil || cs != wantCS {
+		t.Errorf("check shard fixture: got %+v, %v; want %+v", cs, err, wantCS)
+	}
+	if got := AppendCheckShard(nil, cs); !bytes.Equal(got, b) {
+		t.Errorf("check shard re-encodes to %x, want %x", got, b)
+	}
+
+	b, err = hex.DecodeString(subtreeHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := DecodeSubtreeShard(b)
+	if err != nil || !reflect.DeepEqual(ss, wantSS) {
+		t.Errorf("subtree shard fixture: got %+v, %v; want %+v", ss, err, wantSS)
+	}
+	if got := AppendSubtreeShard(nil, ss); !bytes.Equal(got, b) {
+		t.Errorf("subtree shard re-encodes to %x, want %x", got, b)
 	}
 }
 
