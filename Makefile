@@ -20,8 +20,8 @@
 
 GO ?= go
 
-# Per-target budget for `make fuzz`; the smoke in `make check` uses a
-# fixed short budget so the gauntlet stays fast.
+# Per-target budget for `make fuzz`; `make fuzz-smoke` (the smoke in
+# `make check`) runs the same targets at 3s so the gauntlet stays fast.
 FUZZTIME ?= 30s
 
 # Iterations for `make bench`; CI passes BENCHTIME=1x so the bench suite
@@ -82,29 +82,33 @@ bench-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepThroughput/pooled' -benchtime 200x -count 3 -cpu 1 . | tee bench-gate.txt
 	$(GO) run ./cmd/easeio-benchdiff -bench bench-gate.txt
 
+# The native fuzz targets, one package:Fuzzer pair each — the single
+# list `make fuzz` and `make fuzz-smoke` both run, one `go test -fuzz`
+# line per target.
+FUZZ_TARGETS = \
+	.:FuzzParseRuntimeKind \
+	./internal/dma:FuzzClassify \
+	./internal/lea:FuzzLEAKernels \
+	./internal/frontend:FuzzLint \
+	./internal/power:FuzzSchedule \
+	./internal/check:FuzzNestedScheduleEnumeration \
+	./internal/wire:FuzzCheckpointRoundTrip \
+	./internal/wire:FuzzDecodeShard \
+	./internal/wire:FuzzDecodeSubtreeShard \
+	./internal/fleet:FuzzDecodeWALRecord
+
+# Ends each expanded command in `fuzz`, so make runs (and -n prints)
+# one recipe line per target and stops at the first failing one.
+define newline
+
+
+endef
+
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzParseRuntimeKind$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime $(FUZZTIME) ./internal/dma
-	$(GO) test -run '^$$' -fuzz '^FuzzLEAKernels$$' -fuzztime $(FUZZTIME) ./internal/lea
-	$(GO) test -run '^$$' -fuzz '^FuzzLint$$' -fuzztime $(FUZZTIME) ./internal/frontend
-	$(GO) test -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime $(FUZZTIME) ./internal/power
-	$(GO) test -run '^$$' -fuzz '^FuzzNestedScheduleEnumeration$$' -fuzztime $(FUZZTIME) ./internal/check
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeShard$$' -fuzztime $(FUZZTIME) ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSubtreeShard$$' -fuzztime $(FUZZTIME) ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime $(FUZZTIME) ./internal/fleet
+	$(foreach t,$(FUZZ_TARGETS),$(GO) test -run '^$$' -fuzz '^$(lastword $(subst :, ,$(t)))$$' -fuzztime $(FUZZTIME) $(firstword $(subst :, ,$(t)))$(newline))
 
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzParseRuntimeKind$$' -fuzztime 3s .
-	$(GO) test -run '^$$' -fuzz '^FuzzClassify$$' -fuzztime 3s ./internal/dma
-	$(GO) test -run '^$$' -fuzz '^FuzzLEAKernels$$' -fuzztime 3s ./internal/lea
-	$(GO) test -run '^$$' -fuzz '^FuzzLint$$' -fuzztime 3s ./internal/frontend
-	$(GO) test -run '^$$' -fuzz '^FuzzSchedule$$' -fuzztime 3s ./internal/power
-	$(GO) test -run '^$$' -fuzz '^FuzzNestedScheduleEnumeration$$' -fuzztime 3s ./internal/check
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointRoundTrip$$' -fuzztime 3s ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeShard$$' -fuzztime 3s ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSubtreeShard$$' -fuzztime 3s ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeWALRecord$$' -fuzztime 3s ./internal/fleet
+	$(MAKE) fuzz FUZZTIME=3s
 
 # k=2 nested-failure smoke: fig6 must stay divergence-free under
 # failure-during-recovery schedules for the runtimes the paper claims

@@ -138,21 +138,28 @@ type cutRecorder struct{ cuts []time.Duration }
 // across a run, so the slice arrives sorted and duplicate-free.
 func (r *cutRecorder) NoteCut(onTime time.Duration) { r.cuts = append(r.cuts, onTime) }
 
-// planned is a completed golden pass: everything Run needs before (or
-// instead of) exploring.
+// planned is a completed golden pass: the plan it yields, plus
+// everything exploration needs after it.
 type planned struct {
-	bench *apps.Bench
-	label string
-	newRT func() kernel.Hooks
-	g     *golden
-	cuts  []time.Duration
-	dev   *kernel.Device
-	rt    kernel.Hooks
+	plan   *Plan
+	cfg    Config // filled
+	newApp experiments.AppFactory
+	bench  *apps.Bench
+	newRT  func() kernel.Hooks
+	g      *golden
+	cuts   []time.Duration
+	dev    *kernel.Device
+	rt     kernel.Hooks
 }
 
-// goldenPass runs the continuous-power reference and enumerates the
-// candidate failure points — the planning half of Run.
+// goldenPass fills and validates cfg, runs the continuous-power
+// reference and enumerates the candidate failure points: the first step
+// of every entry point, and the one place a Plan is built.
 func goldenPass(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg Config) (*planned, error) {
+	cfg = cfg.fill()
+	if err := ValidateFailures(cfg.Failures); err != nil {
+		return nil, err
+	}
 	newRT := cfg.NewRuntime
 	if newRT == nil {
 		newRT = func() kernel.Hooks { return experiments.NewRuntime(kind) }
@@ -191,7 +198,59 @@ func goldenPass(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg
 		}
 		g.vars[i] = words
 	}
-	return &planned{bench: bench, label: label, newRT: newRT, g: g, cuts: rec.cuts, dev: dev, rt: rt}, nil
+	p := &Plan{
+		App:           bench.App.Name,
+		Runtime:       label,
+		Seed:          cfg.Seed,
+		Off:           cfg.Off,
+		Failures:      cfg.Failures,
+		GoldenOnTime:  g.onTime,
+		GoldenCorrect: g.correct,
+		Candidates:    len(rec.cuts),
+	}
+	if p.Candidates == 0 {
+		// Nothing to explore, and nothing to diverge: a run that never
+		// crossed a charge-slice boundary has no point at which a power
+		// failure could land. Say so explicitly instead of rendering a
+		// confusingly empty pass.
+		p.Note = noCandidatesNote
+	}
+	return &planned{plan: p, cfg: cfg, newApp: newApp, bench: bench, newRT: newRT, g: g, cuts: rec.cuts, dev: dev, rt: rt}, nil
+}
+
+// explorer sets up the exploration of the configured candidate range
+// after the golden pass. Checkpointed replay needs the runtime to
+// checkpoint its hook state and to reset in place for recording passes;
+// runtimes that can't (and Config.FromBoot) replay from boot instead.
+// The recorder re-runs recording passes on the golden session's own
+// device, runtime and app — golden state was already copied out — so
+// checkpointed mode costs no extra builds.
+func (pl *planned) explorer() *explorer {
+	lo, hi := clampRange(pl.cfg, len(pl.cuts))
+	e := &explorer{cfg: pl.cfg, newApp: pl.newApp, newRT: pl.newRT, golden: pl.g, cuts: pl.cuts,
+		lo: lo, hi: hi, fromBoot: true}
+	_, canSnap := pl.rt.(kernel.Snapshotter)
+	_, canReset := pl.rt.(kernel.Resetter)
+	if !pl.cfg.FromBoot && canSnap && canReset {
+		e.fromBoot = false
+		e.rec = newRecorder(pl.bench, pl.rt, pl.dev, pl.cfg.Seed)
+	}
+	return e
+}
+
+// recoverPanic, deferred by every entry point, turns a panic in the app
+// or runtime into an error wrapping experiments.PanicError, so it fails
+// the check instead of the process hosting it (a service, a fleet
+// worker, a coordinator planning a job). Replays on worker goroutines
+// recover the same way in evalChunk.
+func recoverPanic(err *error, what string) {
+	if v := recover(); v != nil {
+		*err = panicError(v, what)
+	}
+}
+
+func panicError(v any, what string) error {
+	return fmt.Errorf("check: %w", experiments.PanicError{Value: v, What: what})
 }
 
 // noCandidatesNote explains a zero-candidate report.
@@ -223,35 +282,24 @@ type Plan struct {
 // continuous-power pass that enumerates candidate failure points. The
 // golden pass is deterministic, so a worker exploring a cut range of the
 // same configuration reproduces exactly the candidates this plan counts.
-func Golden(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg Config) (*Plan, error) {
-	cfg = cfg.fill()
-	if err := ValidateFailures(cfg.Failures); err != nil {
-		return nil, err
-	}
+func Golden(newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg Config) (p *Plan, err error) {
+	defer recoverPanic(&err, "check under "+kind.String())
 	pl, err := goldenPass(newApp, kind, cfg)
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{
-		App:           pl.bench.App.Name,
-		Runtime:       pl.label,
-		Seed:          cfg.Seed,
-		Off:           cfg.Off,
-		Failures:      cfg.Failures,
-		GoldenOnTime:  pl.g.onTime,
-		GoldenCorrect: pl.g.correct,
-		Candidates:    len(pl.cuts),
-	}
-	if p.Candidates == 0 {
-		p.Note = noCandidatesNote
-	}
-	return p, nil
+	return pl.plan, nil
 }
 
-// Report returns the report header this plan describes, with no explored
-// points — the skeleton a coordinator fills from merged shard results.
-func (p *Plan) Report() *Report {
-	return &Report{
+// Report assembles the checker report this plan describes from explored
+// results: explored and divs are the level-1 exploration's (divs in
+// candidate order), sub the nested exploration below it (MergeSubtrees
+// of the groups' reports; zero for k=1). Divergences list level 1 first,
+// then sub's in depth-major order, and Minimal is picked across both.
+// Run, NestedPlan.Report and the fleet's merge all build their reports
+// here, which is what makes a merged report equal Run's.
+func (p *Plan) Report(explored int, divs []Divergence, sub SubtreeReport) *Report {
+	rep := &Report{
 		App:           p.App,
 		Runtime:       p.Runtime,
 		Seed:          p.Seed,
@@ -260,8 +308,13 @@ func (p *Plan) Report() *Report {
 		GoldenOnTime:  p.GoldenOnTime,
 		GoldenCorrect: p.GoldenCorrect,
 		Candidates:    p.Candidates,
+		Explored:      explored,
 		Note:          p.Note,
+		Depths:        sub.Depths,
+		Divergences:   append(append([]Divergence(nil), divs...), sub.Divergences...),
 	}
+	rep.Minimal = minimalSchedule(rep.Divergences)
+	return rep
 }
 
 // Run model-checks one app×runtime blueprint: it enumerates the candidate
@@ -271,69 +324,20 @@ func (p *Plan) Report() *Report {
 // reports every divergence found. Cancelling ctx stops the exploration at
 // the next point boundary and returns the partial report alongside ctx's
 // error.
-func Run(ctx context.Context, newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg Config) (*Report, error) {
-	cfg = cfg.fill()
-	if err := ValidateFailures(cfg.Failures); err != nil {
-		return nil, err
-	}
+func Run(ctx context.Context, newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg Config) (rep *Report, err error) {
+	defer recoverPanic(&err, "check under "+kind.String())
 	pl, err := goldenPass(newApp, kind, cfg)
 	if err != nil {
 		return nil, err
 	}
-	g, rt, dev, bench := pl.g, pl.rt, pl.dev, pl.bench
-
-	rep := &Report{
-		App:           bench.App.Name,
-		Runtime:       pl.label,
-		Seed:          cfg.Seed,
-		Off:           cfg.Off,
-		Failures:      cfg.Failures,
-		GoldenOnTime:  g.onTime,
-		GoldenCorrect: g.correct,
-		Candidates:    len(pl.cuts),
-	}
-	if rep.Candidates == 0 {
-		// Nothing to explore, and nothing to diverge: a run that never
-		// crossed a charge-slice boundary has no point at which a power
-		// failure could land. Say so explicitly instead of rendering a
-		// confusingly empty pass.
-		rep.Note = noCandidatesNote
-		return rep, nil
-	}
-
-	// Clamp the explored candidate range (the full range by default).
-	lo, hi := clampRange(cfg, rep.Candidates)
-
-	fromBoot := cfg.FromBoot
-	var rcr *recorder
-	if !fromBoot {
-		// Checkpointed replay needs the runtime to checkpoint its hook
-		// state and to reset in place for recording passes; probe the
-		// golden session's runtime and fall back to from-boot replay when
-		// it can't. The recorder re-runs recording passes on the session's
-		// own device, runtime and app — golden state was already copied
-		// out above, so checkpointed mode costs no extra builds.
-		_, canSnap := rt.(kernel.Snapshotter)
-		_, canReset := rt.(kernel.Resetter)
-		if canSnap && canReset {
-			rcr = newRecorder(bench, rt, dev, cfg.Seed)
-		} else {
-			fromBoot = true
-		}
-	}
-
-	e := &explorer{cfg: cfg, newApp: newApp, newRT: pl.newRT, golden: g, cuts: pl.cuts,
-		lo: lo, hi: hi, fromBoot: fromBoot, rec: rcr}
+	e := pl.explorer()
 	results, err := e.explore(ctx)
-	rep.Explored, rep.Divergences = level1Divergences(results, pl.cuts)
-	if cfg.Failures > 1 && err == nil {
-		nres, nerr := e.exploreNested(ctx, results)
-		rep.Depths = nres.depths
-		rep.Divergences = append(rep.Divergences, nres.divs...)
-		err = nerr
+	explored, divs := level1Divergences(results, pl.cuts)
+	var sub SubtreeReport
+	if pl.cfg.Failures > 1 && err == nil {
+		sub, err = e.exploreNested(ctx, results)
 	}
-	rep.Minimal = MinimalSchedule(rep.Divergences)
-	return rep, err
+	return pl.plan.Report(explored, divs, sub), err
 }
 
 // level1Divergences counts the evaluated level-1 points and collects
@@ -354,12 +358,11 @@ func level1Divergences(results []outcome, cuts []time.Duration) (explored int, d
 	return explored, divs
 }
 
-// MinimalSchedule picks the minimal failing schedule: fewest failures
+// minimalSchedule picks the minimal failing schedule: fewest failures
 // first, then earliest. Divergences arrive depth by depth and in
 // candidate order within a depth, so the first divergence with the
-// shortest schedule is the minimal one. The fleet merge uses it to
-// reassemble exactly the Minimal field check.Run computes in process.
-func MinimalSchedule(divs []Divergence) []time.Duration {
+// shortest schedule is the minimal one.
+func minimalSchedule(divs []Divergence) []time.Duration {
 	best := -1
 	bestLen := 0
 	for i, d := range divs {

@@ -2,6 +2,7 @@ package check
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -9,8 +10,10 @@ import (
 	"easeio/internal/apps"
 	"easeio/internal/core"
 	"easeio/internal/experiments"
+	"easeio/internal/frontend"
 	"easeio/internal/kernel"
 	"easeio/internal/power"
+	"easeio/internal/task"
 )
 
 func dmaFactory() (*apps.Bench, error)  { return apps.NewDMAApp(apps.DefaultDMAConfig()) }
@@ -281,9 +284,9 @@ func TestOffDurationRecorded(t *testing.T) {
 
 // TestCutRangeShardsMergeExhaustive pins the distributed checker's merge
 // contract: in exhaustive mode, splitting [0, Candidates) into cut
-// ranges, running each range as its own checker job, and reassembling
-// the results onto the plan's report skeleton reproduces the unsharded
-// report byte for byte.
+// ranges, running each range as its own checker job, and assembling the
+// concatenated results with Plan.Report — the function the fleet's merge
+// calls — reproduces the unsharded report byte for byte.
 func TestCutRangeShardsMergeExhaustive(t *testing.T) {
 	for _, kind := range allKinds {
 		kind := kind
@@ -304,7 +307,8 @@ func TestCutRangeShardsMergeExhaustive(t *testing.T) {
 			}
 
 			for _, nShards := range []int{2, 3} {
-				merged := plan.Report()
+				var explored int
+				var divs []Divergence
 				for s := 0; s < nShards; s++ {
 					scfg := cfg
 					scfg.CutLo = s * plan.Candidates / nShards
@@ -319,18 +323,70 @@ func TestCutRangeShardsMergeExhaustive(t *testing.T) {
 					if part.Pruned != 0 {
 						t.Errorf("exhaustive shard %d pruned %d points", s, part.Pruned)
 					}
-					merged.Explored += part.Explored
-					merged.Divergences = append(merged.Divergences, part.Divergences...)
+					explored += part.Explored
+					divs = append(divs, part.Divergences...)
 				}
-				merged.Pruned = merged.Candidates - merged.Explored
-				if len(merged.Divergences) > 0 {
-					merged.Minimal = []time.Duration{merged.Divergences[0].At}
-				}
+				merged := plan.Report(explored, divs, SubtreeReport{})
 				if merged.Render() != full.Render() {
 					t.Errorf("%d-shard merge differs from unsharded report:\n--- merged ---\n%s--- full ---\n%s",
 						nShards, merged.Render(), full.Render())
 				}
 			}
 		})
+	}
+}
+
+// reexecBoom builds a one-task app whose task panics when it runs again
+// after a power failure: the golden pass completes, every replay panics.
+func reexecBoom() (*apps.Bench, error) {
+	a := task.NewApp("reexec-boom")
+	a.AddTask("work", func(e task.Exec) {
+		// The front-end's analysis pass runs the body on its own Exec.
+		if c, ok := e.(*kernel.Ctx); ok && c.Dev.Run.PowerFailures > 0 {
+			panic("task re-executed")
+		}
+		e.Compute(2000)
+		e.Done()
+	})
+	if err := frontend.Analyze(a); err != nil {
+		return nil, err
+	}
+	return &apps.Bench{App: a}, nil
+}
+
+// TestPanicsBecomeErrors pins panic isolation in every entry point: a
+// panic in the factory (golden pass) or in a replay — inline with one
+// worker, on worker goroutines with two — returns an error wrapping
+// experiments.PanicError instead of unwinding into the caller.
+func TestPanicsBecomeErrors(t *testing.T) {
+	ctx := context.Background()
+	boom := func() (*apps.Bench, error) { panic("factory exploded") }
+	calls := map[string]func() error{
+		"Golden": func() error {
+			_, err := Golden(boom, experiments.EaseIO, Config{})
+			return err
+		},
+		"Run/factory": func() error {
+			_, err := Run(ctx, boom, experiments.EaseIO, Config{})
+			return err
+		},
+		"Run/replay inline": func() error {
+			_, err := Run(ctx, reexecBoom, experiments.EaseIO, Config{Workers: 1})
+			return err
+		},
+		"Run/replay on goroutines": func() error {
+			_, err := Run(ctx, reexecBoom, experiments.EaseIO, Config{Workers: 2})
+			return err
+		},
+		"PlanNested/replay": func() error {
+			_, err := PlanNested(ctx, reexecBoom, experiments.EaseIO, Config{Failures: 2, Workers: 2})
+			return err
+		},
+	}
+	for name, call := range calls {
+		var pe experiments.PanicError
+		if err := call(); !errors.As(err, &pe) {
+			t.Errorf("%s: err = %v, want a PanicError in the chain", name, err)
+		}
 	}
 }

@@ -14,6 +14,7 @@ package check
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,10 +39,11 @@ type explorer struct {
 	fromBoot bool
 	rec      *recorder // nil in from-boot mode
 
-	reps    []*replayer  // worker pool, grown lazily by chunk demand
-	tracer  *replayer    // nested mode: suffix tracing + recording passes
-	done    atomic.Int64 // evaluated points, feeds Config.Progress
-	planned atomic.Int64 // points scheduled so far, feeds Config.Progress
+	reps    []*replayer           // worker pool, grown lazily by chunk demand
+	tracer  *replayer             // nested mode: suffix tracing + recording passes
+	done    atomic.Int64          // evaluated points, feeds Config.Progress
+	planned atomic.Int64          // points scheduled so far, feeds Config.Progress
+	failed  atomic.Pointer[error] // the first panicking replay on a worker goroutine
 }
 
 // explore evaluates every level-1 candidate cut point in the explored
@@ -121,14 +123,23 @@ func (e *explorer) grow(demand int) error {
 // Results land in out by index, so completion order is irrelevant. cps
 // is nil in from-boot mode; in checkpointed mode it holds one checkpoint
 // per index. prefix is the failure schedule shared by every point of the
-// chunk (nil at level 1).
+// chunk (nil at level 1). A panicking replay stops the chunk and is
+// returned as its error.
 func (e *explorer) evalChunk(ctx context.Context, out []outcome, cuts []time.Duration, idxs []int, cps map[int]*checkpoint, prefix []time.Duration) error {
-	evalOne := func(r *replayer, i int) outcome {
+	evalOne := func(r *replayer, i int) (err error) {
 		r.sched = append(append(r.sched[:0], prefix...), cuts[i])
+		defer func() {
+			if v := recover(); v != nil {
+				err = panicError(v, fmt.Sprintf("replay of schedule %v", r.sched))
+			}
+		}()
 		if cps != nil {
-			return r.evalFrom(cps[i], r.sched)
+			out[i] = r.evalFrom(cps[i], r.sched)
+		} else {
+			out[i] = r.eval(r.sched)
 		}
-		return r.eval(r.sched)
+		e.progress()
+		return nil
 	}
 	reps := e.reps
 	if len(reps) > len(idxs) {
@@ -139,8 +150,9 @@ func (e *explorer) evalChunk(ctx context.Context, out []outcome, cuts []time.Dur
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			out[i] = evalOne(reps[0], i)
-			e.progress()
+			if err := evalOne(reps[0], i); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
@@ -151,11 +163,13 @@ func (e *explorer) evalChunk(ctx context.Context, out []outcome, cuts []time.Dur
 		go func(r *replayer) {
 			defer wg.Done()
 			for i := range work {
-				if ctx.Err() != nil {
+				if ctx.Err() != nil || e.failed.Load() != nil {
 					continue // drain without evaluating
 				}
-				out[i] = evalOne(r, i)
-				e.progress()
+				if err := evalOne(r, i); err != nil {
+					first := err // escapes only on this path
+					e.failed.CompareAndSwap(nil, &first)
+				}
 			}
 		}(r)
 	}
@@ -164,6 +178,9 @@ func (e *explorer) evalChunk(ctx context.Context, out []outcome, cuts []time.Dur
 	}
 	close(work)
 	wg.Wait()
+	if err := e.failed.Load(); err != nil {
+		return *err
+	}
 	return ctx.Err()
 }
 

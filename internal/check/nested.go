@@ -85,21 +85,13 @@ type treeNode struct {
 	collapsed int
 }
 
-// nestedResult carries everything Run folds into the report after the
-// nested exploration: per-depth accounting and the divergences found, in
-// (depth, node, candidate) order.
-type nestedResult struct {
-	depths []DepthStats
-	divs   []Divergence
-}
-
 // exploreNested grows the checkpoint tree below the level-1 outcomes up
 // to Config.Failures levels. On cancellation or a hard replay error it
 // returns what was found so far plus the error.
-func (e *explorer) exploreNested(ctx context.Context, level1 []outcome) (*nestedResult, error) {
+func (e *explorer) exploreNested(ctx context.Context, level1 []outcome) (SubtreeReport, error) {
 	frontier, err := e.level1Frontier(level1)
 	if err != nil {
-		return &nestedResult{}, err
+		return SubtreeReport{}, err
 	}
 	return e.exploreFrontier(ctx, frontier, 2)
 }
@@ -113,8 +105,8 @@ func (e *explorer) exploreNested(ctx context.Context, level1 []outcome) (*nested
 // order, a frontier split into contiguous groups explored separately
 // reproduces, per depth and in group order, exactly what the whole
 // frontier produces.
-func (e *explorer) exploreFrontier(ctx context.Context, frontier []treeNode, startDepth int) (*nestedResult, error) {
-	res := &nestedResult{}
+func (e *explorer) exploreFrontier(ctx context.Context, frontier []treeNode, startDepth int) (SubtreeReport, error) {
+	var res SubtreeReport
 	if len(frontier) == 0 {
 		return res, nil
 	}
@@ -131,14 +123,14 @@ func (e *explorer) exploreFrontier(ctx context.Context, frontier []treeNode, sta
 		var next []treeNode
 		for _, node := range frontier {
 			if err := ctx.Err(); err != nil {
-				res.depths = append(res.depths, ds)
+				res.Depths = append(res.Depths, ds)
 				return res, err
 			}
 			ds.Expanded++
 			ds.Collapsed += node.collapsed
-			children, err := e.expand(ctx, node, depth, &ds, res)
+			children, err := e.expand(ctx, node, depth, &ds, &res)
 			if err != nil {
-				res.depths = append(res.depths, ds)
+				res.Depths = append(res.Depths, ds)
 				return res, err
 			}
 			if depth < e.cfg.Failures {
@@ -149,7 +141,7 @@ func (e *explorer) exploreFrontier(ctx context.Context, frontier []treeNode, sta
 				node.root = nil
 			}
 		}
-		res.depths = append(res.depths, ds)
+		res.Depths = append(res.Depths, ds)
 		frontier = next
 	}
 	return res, nil
@@ -189,7 +181,7 @@ func (e *explorer) level1Frontier(level1 []outcome) ([]treeNode, error) {
 // trajectory to enumerate the next level's candidates, replays every one
 // of them, books the accounting and divergences into ds/res, and
 // returns the subtree's own expansion nodes for the level below.
-func (e *explorer) expand(ctx context.Context, node treeNode, depth int, ds *DepthStats, res *nestedResult) ([]treeNode, error) {
+func (e *explorer) expand(ctx context.Context, node treeNode, depth int, ds *DepthStats, res *SubtreeReport) ([]treeNode, error) {
 	var suffix []time.Duration
 	var err error
 	if node.root != nil {
@@ -223,7 +215,7 @@ func (e *explorer) expand(ctx context.Context, node treeNode, depth int, ds *Dep
 			d.Index = i
 			d.At = suffix[i]
 			d.Schedule = append(append([]time.Duration(nil), node.schedule...), suffix[i])
-			res.divs = append(res.divs, d)
+			res.Divergences = append(res.Divergences, d)
 		}
 	}
 	ds.Explored += explored

@@ -49,14 +49,35 @@ type NestedPlan struct {
 	Divergences []Divergence
 
 	// Seeds are the depth-2 expansion roots in candidate order. Empty
-	// with Fallback false means the level-1 exploration left nothing to
-	// expand — the job is complete.
+	// means the level-1 exploration left nothing to expand — the job is
+	// complete.
 	Seeds []SubtreeSeed
+}
 
-	// Fallback reports that the runtime cannot checkpoint (or FromBoot
-	// was forced), so no exploration ran and the job must be executed as
-	// a single undistributed shard.
-	Fallback bool
+// nestedConfig fills and validates cfg for the distributed nested entry
+// points, which need at least two failures.
+func nestedConfig(cfg Config, entry string) (Config, error) {
+	cfg = cfg.fill()
+	if err := ValidateFailures(cfg.Failures); err != nil {
+		return cfg, err
+	}
+	if cfg.Failures < 2 {
+		return cfg, fmt.Errorf("check: %s needs Failures >= 2, have %d", entry, cfg.Failures)
+	}
+	return cfg, nil
+}
+
+// checkpointedExplorer is explorer for the distributed nested entry
+// points, whose subtree roots are checkpoints: a runtime without
+// snapshot and reset support, or Config.FromBoot, is an error here
+// rather than a from-boot fallback.
+func (pl *planned) checkpointedExplorer() (*explorer, error) {
+	e := pl.explorer()
+	if e.fromBoot {
+		return nil, fmt.Errorf("check: runtime %s cannot run a distributed nested check (FromBoot set, or no snapshot and reset support)",
+			pl.plan.Runtime)
+	}
+	return e, nil
 }
 
 // PlanNested runs the coordinator half of a distributed nested check:
@@ -64,43 +85,20 @@ type NestedPlan struct {
 // level-1 results and the depth-2 roots to farm out. The level-1 range
 // is never sharded — nestedPlan selects representatives from outcomes
 // across the whole range, exactly like the in-process checker.
-func PlanNested(ctx context.Context, newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg Config) (*NestedPlan, error) {
-	cfg = cfg.fill()
-	if err := ValidateFailures(cfg.Failures); err != nil {
+func PlanNested(ctx context.Context, newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg Config) (np *NestedPlan, err error) {
+	defer recoverPanic(&err, "check under "+kind.String())
+	if cfg, err = nestedConfig(cfg, "PlanNested"); err != nil {
 		return nil, err
-	}
-	if cfg.Failures < 2 {
-		return nil, fmt.Errorf("check: PlanNested needs Failures >= 2, have %d", cfg.Failures)
 	}
 	pl, err := goldenPass(newApp, kind, cfg)
 	if err != nil {
 		return nil, err
 	}
-	np := &NestedPlan{Plan: &Plan{
-		App:           pl.bench.App.Name,
-		Runtime:       pl.label,
-		Seed:          cfg.Seed,
-		Off:           cfg.Off,
-		Failures:      cfg.Failures,
-		GoldenOnTime:  pl.g.onTime,
-		GoldenCorrect: pl.g.correct,
-		Candidates:    len(pl.cuts),
-	}}
-	if np.Plan.Candidates == 0 {
-		np.Plan.Note = noCandidatesNote
-		return np, nil
+	e, err := pl.checkpointedExplorer()
+	if err != nil {
+		return nil, err
 	}
-	_, canSnap := pl.rt.(kernel.Snapshotter)
-	_, canReset := pl.rt.(kernel.Resetter)
-	if cfg.FromBoot || !canSnap || !canReset {
-		np.Fallback = true
-		return np, nil
-	}
-
-	lo, hi := clampRange(cfg, np.Plan.Candidates)
-	e := &explorer{cfg: cfg, newApp: newApp, newRT: pl.newRT, golden: pl.g, cuts: pl.cuts,
-		lo: lo, hi: hi, fromBoot: false,
-		rec: newRecorder(pl.bench, pl.rt, pl.dev, cfg.Seed)}
+	np = &NestedPlan{Plan: pl.plan}
 	results, err := e.explore(ctx)
 	np.Explored, np.Divergences = level1Divergences(results, pl.cuts)
 	if err != nil {
@@ -128,16 +126,9 @@ func PlanNested(ctx context.Context, newApp experiments.AppFactory, kind experim
 
 // Report assembles the full checker report described by this plan plus
 // the merged subtree results of its seeds (MergeSubtrees of the groups'
-// reports). It reproduces what Run would have returned: level-1 results
-// first, then the nested divergences in depth-major order, with Minimal
-// picked across both.
+// reports), through Plan.Report: what Run would have returned.
 func (np *NestedPlan) Report(sub SubtreeReport) *Report {
-	rep := np.Plan.Report()
-	rep.Explored = np.Explored
-	rep.Divergences = append(append([]Divergence(nil), np.Divergences...), sub.Divergences...)
-	rep.Depths = sub.Depths
-	rep.Minimal = MinimalSchedule(rep.Divergences)
-	return rep
+	return np.Plan.Report(np.Explored, np.Divergences, sub)
 }
 
 // SubtreeReport is one group's share of the nested exploration: the
@@ -154,13 +145,10 @@ type SubtreeReport struct {
 // roots' subtrees from depth 2 down to cfg.Failures. The roots must be
 // a contiguous group of a PlanNested seed list, in seed order, and cfg
 // must match the planning configuration.
-func RunSubtree(ctx context.Context, newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg Config, roots []SubtreeSeed) (*SubtreeReport, error) {
-	cfg = cfg.fill()
-	if err := ValidateFailures(cfg.Failures); err != nil {
+func RunSubtree(ctx context.Context, newApp experiments.AppFactory, kind experiments.RuntimeKind, cfg Config, roots []SubtreeSeed) (sub *SubtreeReport, err error) {
+	defer recoverPanic(&err, "check under "+kind.String())
+	if cfg, err = nestedConfig(cfg, "RunSubtree"); err != nil {
 		return nil, err
-	}
-	if cfg.Failures < 2 {
-		return nil, fmt.Errorf("check: RunSubtree needs Failures >= 2, have %d", cfg.Failures)
 	}
 	if len(roots) == 0 {
 		return &SubtreeReport{}, nil
@@ -169,13 +157,10 @@ func RunSubtree(ctx context.Context, newApp experiments.AppFactory, kind experim
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := pl.rt.(kernel.Snapshotter); !ok {
-		return nil, fmt.Errorf("check: runtime %s cannot restore subtree roots (no snapshot support)", pl.label)
+	e, err := pl.checkpointedExplorer()
+	if err != nil {
+		return nil, err
 	}
-
-	lo, hi := clampRange(cfg, len(pl.cuts))
-	e := &explorer{cfg: cfg, newApp: newApp, newRT: pl.newRT, golden: pl.g, cuts: pl.cuts,
-		lo: lo, hi: hi, fromBoot: false}
 	frontier := make([]treeNode, len(roots))
 	for i, r := range roots {
 		frontier[i] = treeNode{
@@ -185,7 +170,7 @@ func RunSubtree(ctx context.Context, newApp experiments.AppFactory, kind experim
 		}
 	}
 	res, err := e.exploreFrontier(ctx, frontier, 2)
-	return &SubtreeReport{Depths: res.depths, Divergences: res.divs}, err
+	return &res, err
 }
 
 // MergeSubtrees reassembles subtree reports — one per contiguous root

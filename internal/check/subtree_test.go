@@ -4,8 +4,10 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"easeio/internal/experiments"
+	"easeio/internal/kernel"
 )
 
 // TestSubtreePipelineMatchesRun pins the distributed nested checker's
@@ -38,9 +40,6 @@ func TestSubtreePipelineMatchesRun(t *testing.T) {
 				np, err := PlanNested(ctx, app.factory, kind, cfg)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if np.Fallback {
-					t.Fatal("PlanNested fell back for a snapshot-capable runtime")
 				}
 				// EaseIO-style runtimes collapse fig6's level-1 frontier to a
 				// single representative; the 3-way split then degenerates to
@@ -78,5 +77,28 @@ func TestRunSubtreeEmptyRoots(t *testing.T) {
 	}
 	if len(rep.Depths) != 0 || len(rep.Divergences) != 0 {
 		t.Fatalf("empty roots produced a non-empty report: %+v", rep)
+	}
+}
+
+// TestNestedEntriesNeedCheckpoints pins that the distributed nested
+// entry points refuse what they cannot shard — Config.FromBoot, and a
+// runtime without snapshot and reset support — with an error rather
+// than a fallback plan shape.
+func TestNestedEntriesNeedCheckpoints(t *testing.T) {
+	ctx := context.Background()
+	opaque := func() kernel.Hooks {
+		return struct{ kernel.Hooks }{experiments.NewRuntime(experiments.EaseIO)}
+	}
+	roots := []SubtreeSeed{{Schedule: []time.Duration{time.Millisecond}}}
+	for name, cfg := range map[string]Config{
+		"from boot":    {Failures: 2, FromBoot: true},
+		"no snapshots": {Failures: 2, NewRuntime: opaque},
+	} {
+		if _, err := PlanNested(ctx, Fig6Bench, experiments.EaseIO, cfg); err == nil {
+			t.Errorf("%s: PlanNested planned a nested check", name)
+		}
+		if _, err := RunSubtree(ctx, Fig6Bench, experiments.EaseIO, cfg, roots); err == nil {
+			t.Errorf("%s: RunSubtree grew subtrees", name)
+		}
 	}
 }

@@ -123,8 +123,7 @@ type job struct {
 	kind experiments.RuntimeKind
 
 	planned bool
-	hasPlan bool       // check jobs: plan holds the golden header
-	plan    planHeader // valid when hasPlan
+	plan    *check.Plan // check jobs: the golden pass's plan
 	// level1 marks a subtree-sharded nested check and holds its
 	// coordinator-side level-1 exploration (an encoded wire.CheckResult)
 	// that the merge folds in ahead of the shards' subtree results.
@@ -221,7 +220,10 @@ func (c *Coordinator) replay(r record) {
 		if j.planned {
 			return
 		}
-		c.installPlan(j, r.Shards, r.HasPlan, r.Plan, r.Level1, r.Tasks)
+		if r.Plan != nil {
+			r.Plan.Seed, r.Plan.Failures = j.spec.Seed, max(j.spec.Failures, 1)
+		}
+		c.installPlan(j, r)
 	case recLease:
 		// Leases do not survive a restart — the shard stays pending and
 		// will be re-leased without an attempt increment. The record
@@ -342,17 +344,11 @@ func (c *Coordinator) planLocked(j *job) error {
 	if parts <= 0 {
 		parts = c.cfg.DefaultShards
 	}
-	var (
-		ranges  [][2]int
-		hasPlan bool
-		ph      planHeader
-		level1  []byte
-		tasks   [][]byte
-		work    int
-	)
+	rec := record{Type: recPlan, Job: j.id}
+	var work int
 	switch j.spec.Mode {
 	case ModeSweep:
-		ranges = splitRange(0, j.spec.Runs, parts)
+		rec.Shards = splitRange(0, j.spec.Runs, parts)
 		work = j.spec.Runs
 	case ModeCheck:
 		if c.cfg.Source == nil {
@@ -365,114 +361,95 @@ func (c *Coordinator) planLocked(j *job) error {
 		cfg := check.Config{Seed: j.spec.Seed, Off: j.spec.Off, Failures: j.spec.Failures}
 		if j.spec.Failures > 1 {
 			var err error
-			ranges, ph, level1, tasks, work, err = c.planNestedLocked(j, factory, cfg, parts)
-			if err != nil {
+			if work, err = c.planNestedLocked(j, factory, cfg, parts, &rec); err != nil {
 				return err
 			}
-			hasPlan = true
 			break
 		}
 		plan, err := check.Golden(factory, j.kind, cfg)
 		if err != nil {
 			return fmt.Errorf("fleet: plan check job %d: %w", j.id, err)
 		}
-		hasPlan = true
-		ph = planHeader{
-			App: plan.App, Runtime: plan.Runtime, Off: plan.Off,
-			GoldenOnTime: plan.GoldenOnTime, GoldenCorrect: plan.GoldenCorrect,
-			Candidates: plan.Candidates, Note: plan.Note,
-		}
+		rec.Plan = plan
+		rec.Shards = splitRange(0, plan.Candidates, parts)
 		work = plan.Candidates
-		ranges = splitRange(0, plan.Candidates, parts)
 	}
 	// Plan-time invariant: pending work must yield at least one shard. A
 	// job planned with work but no shards has no completion path — it
 	// would sit unfinished forever — so fail fast here instead.
-	if work > 0 && len(ranges) == 0 {
+	if work > 0 && len(rec.Shards) == 0 {
 		return fmt.Errorf("fleet: job %d planned no shards over %d pending items (Shards=%d, DefaultShards=%d)",
 			j.id, work, j.spec.Shards, c.cfg.DefaultShards)
 	}
-	if err := c.wal.append(record{Type: recPlan, Job: j.id, Shards: ranges,
-		HasPlan: hasPlan, Plan: ph, Level1: level1, Tasks: tasks}); err != nil {
+	if err := c.wal.append(rec); err != nil {
 		return err
 	}
-	c.installPlan(j, ranges, hasPlan, ph, level1, tasks)
+	c.installPlan(j, rec)
 	return nil
 }
 
-// planNestedLocked plans a nested check: it runs the golden
-// pass plus the full level-1 exploration in the coordinator (the level-1
-// range is never sharded — representative selection is a function of
-// outcomes across the whole range), then cuts the level-1 frontier into
-// contiguous groups of root checkpoints, each pre-encoded as one subtree
-// shard task. The completed level-1 results ride along for the merge.
-// Work is counted in frontier roots: a job whose level-1 exploration
-// leaves nothing to expand legitimately plans zero shards and finishes
-// at submit.
-func (c *Coordinator) planNestedLocked(j *job, factory experiments.AppFactory, cfg check.Config, parts int) (
-	ranges [][2]int, ph planHeader, level1 []byte, tasks [][]byte, work int, err error) {
+// planNestedLocked fills rec with a nested check's plan: it runs the
+// golden pass plus the full level-1 exploration in the coordinator (the
+// level-1 range is never sharded — representative selection is a
+// function of outcomes across the whole range), then cuts the level-1
+// frontier into contiguous groups of root checkpoints, each pre-encoded
+// as one subtree shard task. The completed level-1 results ride along
+// for the merge. Work is counted in frontier roots: a job whose level-1
+// exploration leaves nothing to expand legitimately plans zero shards
+// and finishes at submit.
+func (c *Coordinator) planNestedLocked(j *job, factory experiments.AppFactory, cfg check.Config, parts int, rec *record) (work int, err error) {
 	np, err := check.PlanNested(context.Background(), factory, j.kind, cfg)
 	if err != nil {
-		return nil, ph, nil, nil, 0, fmt.Errorf("fleet: plan check job %d: %w", j.id, err)
+		return 0, fmt.Errorf("fleet: plan check job %d: %w", j.id, err)
 	}
-	ph = planHeader{
-		App: np.Plan.App, Runtime: np.Plan.Runtime, Off: np.Plan.Off,
-		GoldenOnTime: np.Plan.GoldenOnTime, GoldenCorrect: np.Plan.GoldenCorrect,
-		Candidates: np.Plan.Candidates, Note: np.Plan.Note,
-	}
+	rec.Plan = np.Plan
 	if np.Plan.Candidates == 0 {
-		return nil, ph, nil, nil, 0, nil
+		return 0, nil
 	}
-	if np.Fallback {
-		// The runtime cannot checkpoint: the whole job runs as one
-		// undistributed shard, exactly as before subtree sharding.
-		return [][2]int{{0, np.Plan.Candidates}}, ph, nil, nil, np.Plan.Candidates, nil
-	}
-	level1 = wire.AppendCheckResult(nil, wire.CheckResult{
+	rec.Level1 = wire.AppendCheckResult(nil, wire.CheckResult{
 		Job: j.id, Explored: np.Explored, Divergences: np.Divergences,
 	})
-	ranges = splitRange(0, len(np.Seeds), parts)
-	tasks = make([][]byte, len(ranges))
-	for i, rg := range ranges {
+	rec.Shards = splitRange(0, len(np.Seeds), parts)
+	rec.Tasks = make([][]byte, len(rec.Shards))
+	for i, rg := range rec.Shards {
 		roots := make([]wire.SubtreeRoot, 0, rg[1]-rg[0])
 		for _, seed := range np.Seeds[rg[0]:rg[1]] {
 			cpb, err := wire.EncodeCheckpoint(nil, seed.Dev)
 			if err != nil {
-				return nil, ph, nil, nil, 0, fmt.Errorf("fleet: job %d: encode subtree root: %w", j.id, err)
+				return 0, fmt.Errorf("fleet: job %d: encode subtree root: %w", j.id, err)
 			}
 			st, ok := seed.RT.(*rtbase.BaseState)
 			if !ok {
-				return nil, ph, nil, nil, 0, fmt.Errorf("fleet: job %d: runtime state %T is not wire-encodable", j.id, seed.RT)
+				return 0, fmt.Errorf("fleet: job %d: runtime state %T is not wire-encodable", j.id, seed.RT)
 			}
 			roots = append(roots, wire.SubtreeRoot{
 				Schedule: seed.Schedule, Collapsed: seed.Collapsed,
 				Checkpoint: cpb, RT: st.Export(),
 			})
 		}
-		tasks[i] = wire.AppendSubtreeShard(nil, wire.SubtreeShard{
+		rec.Tasks[i] = wire.AppendSubtreeShard(nil, wire.SubtreeShard{
 			Job: j.id, Shard: i, App: j.spec.App, Runtime: j.spec.Runtime,
-			Seed: j.spec.Seed, Off: ph.Off, Failures: j.spec.Failures,
+			Seed: j.spec.Seed, Off: np.Plan.Off, Failures: j.spec.Failures,
 			Workers: j.spec.ShardWorkers, Roots: roots,
 		})
 	}
-	return ranges, ph, level1, tasks, len(np.Seeds), nil
+	return len(np.Seeds), nil
 }
 
-// installPlan applies a planned (or replayed) shard layout.
-func (c *Coordinator) installPlan(j *job, ranges [][2]int, hasPlan bool, ph planHeader, level1 []byte, tasks [][]byte) {
+// installPlan applies a planned (or replayed) recPlan record.
+func (c *Coordinator) installPlan(j *job, r record) {
 	j.planned = true
-	j.hasPlan = hasPlan
-	j.plan = ph
-	j.level1 = level1
-	j.shards = make([]*shardState, len(ranges))
-	for i, r := range ranges {
-		sh := &shardState{lo: r[0], hi: r[1]}
-		if i < len(tasks) {
-			sh.task = tasks[i]
+	j.plan = r.Plan
+	j.level1 = r.Level1
+	j.shards = make([]*shardState, len(r.Shards))
+	for i, rg := range r.Shards {
+		sh := &shardState{lo: rg[0], hi: rg[1]}
+		if i < len(r.Tasks) {
+			sh.task = r.Tasks[i]
 		}
 		j.shards[i] = sh
 	}
-	j.remaining = len(ranges)
+	j.remaining = len(r.Shards)
 }
 
 // splitRange splits [lo, hi) into at most parts contiguous near-equal
@@ -586,9 +563,12 @@ func (c *Coordinator) expireLocked(now time.Time) {
 // first logged result for a shard is the result. Completing the job's
 // last shard merges and finishes the job.
 func (c *Coordinator) Complete(worker string, payload []byte) error {
-	jobID, shard, err := resultIDs(payload)
+	jobID, shard, result, err := wire.ShardIDs(payload)
 	if err != nil {
 		return err
+	}
+	if !result {
+		return fmt.Errorf("fleet: completion payload is %v, want a shard result", wire.PeekKind(payload))
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -616,31 +596,6 @@ func (c *Coordinator) Complete(worker string, payload []byte) error {
 		return c.mergeLocked(j)
 	}
 	return nil
-}
-
-// resultIDs peeks a shard result's job and shard without a full decode.
-func resultIDs(payload []byte) (uint64, int, error) {
-	switch wire.PeekKind(payload) {
-	case wire.KindSweepResult:
-		r, err := wire.DecodeSweepResult(payload)
-		if err != nil {
-			return 0, 0, err
-		}
-		return r.Job, r.Shard, nil
-	case wire.KindCheckResult:
-		r, err := wire.DecodeCheckResult(payload)
-		if err != nil {
-			return 0, 0, err
-		}
-		return r.Job, r.Shard, nil
-	case wire.KindSubtreeResult:
-		r, err := wire.DecodeSubtreeResult(payload)
-		if err != nil {
-			return 0, 0, err
-		}
-		return r.Job, r.Shard, nil
-	}
-	return 0, 0, fmt.Errorf("fleet: completion payload is %v, want a shard result", wire.PeekKind(payload))
 }
 
 // FailShard records one failed shard attempt. Under MaxAttempts the
@@ -702,9 +657,9 @@ func (c *Coordinator) failJobLocked(j *job, msg string) error {
 }
 
 // mergeLocked folds the job's shard results, in shard order, into the
-// final Result, logs it, and finishes the job. The fold mirrors the
-// in-process engines exactly — this is where the byte-identity contract
-// is discharged.
+// final Result, logs it, and finishes the job. A sweep fold mirrors the
+// in-process engine exactly; a check report is assembled by check itself
+// (mergeCheckJob).
 func (c *Coordinator) mergeLocked(j *job) error {
 	start := time.Now()
 	var res Result
@@ -722,35 +677,10 @@ func (c *Coordinator) mergeLocked(j *job) error {
 		}
 		res = Result{Mode: ModeSweep, Summary: agg.Summary(), Errs: errs}
 	case ModeCheck:
-		failures := j.spec.Failures
-		if failures <= 0 {
-			failures = 1
+		rep, err := c.mergeCheckJob(j)
+		if err != nil {
+			return err
 		}
-		if j.level1 != nil {
-			rep, err := c.mergeSubtreeJob(j, failures)
-			if err != nil {
-				return err
-			}
-			res = Result{Mode: ModeCheck, Report: rep}
-			break
-		}
-		rep := &check.Report{
-			App: j.plan.App, Runtime: j.plan.Runtime,
-			Seed: j.spec.Seed, Off: j.plan.Off, Failures: failures,
-			GoldenOnTime: j.plan.GoldenOnTime, GoldenCorrect: j.plan.GoldenCorrect,
-			Candidates: j.plan.Candidates, Note: j.plan.Note,
-		}
-		for _, sh := range j.shards {
-			cr, err := wire.DecodeCheckResult(sh.payload)
-			if err != nil {
-				return fmt.Errorf("fleet: merge job %d: %w", j.id, err)
-			}
-			rep.Explored += cr.Explored
-			rep.Depths = append(rep.Depths, cr.Depths...)
-			rep.Divergences = append(rep.Divergences, cr.Divergences...)
-		}
-		rep.Pruned = rep.Candidates - rep.Explored
-		rep.Minimal = check.MinimalSchedule(rep.Divergences)
 		res = Result{Mode: ModeCheck, Report: rep}
 	}
 	if err := c.wal.append(record{Type: recJobDone, Job: j.id, Payload: encodeResultPayload(res), Errs: res.Errs}); err != nil {
@@ -763,34 +693,47 @@ func (c *Coordinator) mergeLocked(j *job) error {
 	return nil
 }
 
-// mergeSubtreeJob assembles a subtree-sharded nested check: the
-// coordinator's own level-1 results (journaled at plan time) come first,
-// then the shards' subtree reports merge in group order — the same
-// check.MergeSubtrees + NestedPlan.Report path the in-process pipeline
-// test pins, so the fleet report is deep-equal to check.Run's.
-func (c *Coordinator) mergeSubtreeJob(j *job, failures int) (*check.Report, error) {
-	l1, err := wire.DecodeCheckResult(j.level1)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: merge job %d level-1 results: %w", j.id, err)
-	}
-	np := &check.NestedPlan{
-		Plan: &check.Plan{
-			App: j.plan.App, Runtime: j.plan.Runtime,
-			Seed: j.spec.Seed, Off: j.plan.Off, Failures: failures,
-			GoldenOnTime: j.plan.GoldenOnTime, GoldenCorrect: j.plan.GoldenCorrect,
-			Candidates: j.plan.Candidates, Note: j.plan.Note,
-		},
-		Explored: l1.Explored, Divergences: l1.Divergences,
-	}
-	parts := make([]check.SubtreeReport, 0, len(j.shards))
-	for i, sh := range j.shards {
-		sr, err := wire.DecodeSubtreeResult(sh.payload)
+// mergeCheckJob decodes a check job's shard results, in shard order, and
+// assembles them with check.Plan.Report — the function check.Run builds
+// its own report with. A subtree-sharded nested check passes the
+// coordinator's level-1 results (journaled at plan time) and the merged
+// subtree reports; a cut-range check passes the shards' concatenated
+// results as level 1 (a full-range k > 1 shard journaled before subtree
+// sharding carries its nested depths and divergences along, already in
+// order).
+func (c *Coordinator) mergeCheckJob(j *job) (*check.Report, error) {
+	if j.level1 != nil {
+		l1, err := wire.DecodeCheckResult(j.level1)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: merge job %d shard %d: %w", j.id, i, err)
+			return nil, fmt.Errorf("fleet: merge job %d level-1 results: %w", j.id, err)
 		}
-		parts = append(parts, check.SubtreeReport{Depths: sr.Depths, Divergences: sr.Divergences})
+		parts := make([]check.SubtreeReport, 0, len(j.shards))
+		for i, sh := range j.shards {
+			sr, err := wire.DecodeSubtreeResult(sh.payload)
+			if err != nil {
+				return nil, fmt.Errorf("fleet: merge job %d shard %d: %w", j.id, i, err)
+			}
+			parts = append(parts, check.SubtreeReport{Depths: sr.Depths, Divergences: sr.Divergences})
+		}
+		return j.plan.Report(l1.Explored, l1.Divergences, check.MergeSubtrees(parts)), nil
 	}
-	return np.Report(check.MergeSubtrees(parts)), nil
+	var explored int
+	var divs []check.Divergence
+	var depths []check.DepthStats
+	for _, sh := range j.shards {
+		cr, err := wire.DecodeCheckResult(sh.payload)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: merge job %d: %w", j.id, err)
+		}
+		explored += cr.Explored
+		depths = append(depths, cr.Depths...)
+		divs = append(divs, cr.Divergences...)
+	}
+	rep := j.plan.Report(explored, divs, check.SubtreeReport{Depths: depths})
+	// Shard results journaled by adaptive checks explored fewer points
+	// than planned; book the difference as pruned, as those checks did.
+	rep.Pruned = rep.Candidates - rep.Explored
+	return rep, nil
 }
 
 // finish applies a terminal state and wakes waiters. A finished job

@@ -18,7 +18,8 @@
 // order-dependent state only — a sweep shard ships its raw
 // stats.AggregatorState and shards merge in seed order; a check shard
 // ships divergences under absolute candidate indices and shards
-// concatenate in cut order onto the plan's golden header. Nested
+// concatenate in cut order, assembled by check.Plan.Report — the
+// function check.Run builds its own report with. Nested
 // (k > 1) checks run level 1 in the coordinator —
 // representative selection is likewise a whole-range decision — then
 // shard the level-1 frontier as subtree work units (wire.SubtreeShard):

@@ -8,6 +8,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"net"
@@ -493,12 +494,12 @@ func TestWALRecordRoundTrip(t *testing.T) {
 			Seed: 17, Off: 3 * time.Millisecond,
 		}},
 		{Type: recPlan, Job: 3, Shards: [][2]int{{0, 20}, {20, 40}}},
-		{Type: recPlan, Job: 4, HasPlan: true, Plan: planHeader{
+		{Type: recPlan, Job: 4, Plan: &check.Plan{
 			App: "fig6-app", Runtime: "Alpaca", GoldenOnTime: time.Second,
 			GoldenCorrect: true, Candidates: 12, Note: "",
 		}, Shards: [][2]int{{0, 12}}},
-		{Type: recPlan, Job: 5, HasPlan: true, Plan: planHeader{Note: "nothing to do"}},
-		{Type: recPlan, Job: 6, HasPlan: true, Plan: planHeader{
+		{Type: recPlan, Job: 5, Plan: &check.Plan{Note: "nothing to do"}},
+		{Type: recPlan, Job: 6, Plan: &check.Plan{
 			App: "fig6-app", Runtime: "Alpaca", GoldenOnTime: time.Second,
 			GoldenCorrect: true, Candidates: 9,
 		}, Shards: [][2]int{{0, 1}, {1, 2}},
@@ -529,6 +530,45 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeRecord(append(full, 0)); err == nil {
 		t.Error("trailing byte accepted")
+	}
+}
+
+// TestPlanRecordLayoutFrozen pins the recPlan layout to bytes captured
+// while the plan header was still a fleet-private struct: a k=1 check
+// plan and a nested plan carrying Level1 and Tasks must decode to the
+// expected record (Seed and Failures are not journaled, so they decode
+// zero) and re-encode to the same bytes, so a coordinator replays the
+// plans an older one journaled.
+func TestPlanRecordLayoutFrozen(t *testing.T) {
+	for _, tc := range []struct {
+		name, hex string
+		want      record
+	}{
+		{"k=1", "020401046669673606416c7061636180897a90cef10401d0010002006868d0010000",
+			record{Type: recPlan, Job: 4, Plan: &check.Plan{
+				App: "fig6", Runtime: "Alpaca", Off: time.Millisecond,
+				GoldenOnTime: 5*time.Millisecond + 125*time.Microsecond, GoldenCorrect: true,
+				Candidates: 104}, Shards: [][2]int{{0, 52}, {52, 104}}}},
+		{"nested", "020701066272616e636803496e4b809bee0280f18c2701ae0300020004040605455702050702054557020801054557020802",
+			record{Type: recPlan, Job: 7, Plan: &check.Plan{
+				App: "branch", Runtime: "InK", Off: 3 * time.Millisecond,
+				GoldenOnTime: 41 * time.Millisecond, GoldenCorrect: true, Candidates: 215},
+				Shards: [][2]int{{0, 2}, {2, 3}},
+				Level1: []byte{0x45, 0x57, 0x02, 0x05, 0x07},
+				Tasks:  [][]byte{{0x45, 0x57, 0x02, 0x08, 0x01}, {0x45, 0x57, 0x02, 0x08, 0x02}}}},
+	} {
+		b, err := hex.DecodeString(tc.hex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := decodeRecord(b)
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s plan fixture: got %+v, %v; want %+v", tc.name, got, err, tc.want)
+			continue
+		}
+		if enc := got.encode(); !bytes.Equal(enc, b) {
+			t.Errorf("%s plan re-encodes to %x, want %x", tc.name, enc, b)
+		}
 	}
 }
 
@@ -742,6 +782,34 @@ func TestWALReplaysAdaptiveSubmit(t *testing.T) {
 	}
 }
 
+// TestWALFailsPanickingPlan pins panic isolation at planning: a WAL
+// holding the submit record of a check whose blueprint factory panics,
+// with no plan record (the coordinator died before planning it), must
+// open, and the replayed job must fail through a journaled job-fail
+// record — a panic there would make New refuse that WAL on every
+// restart. A second open replays the failure without planning again.
+func TestWALFailsPanickingPlan(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.wal")
+	submit := record{Type: recSubmit, Job: 0, Spec: Spec{Mode: ModeCheck, App: "boom", Runtime: "EaseIO"}}
+	if err := os.WriteFile(path, wire.AppendFrame(nil, submit.encode()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := mapSource{"boom": func() (*apps.Bench, error) { panic("factory exploded") }}
+	for _, src := range []mapSource{boom, {}} {
+		c, err := New(CoordinatorConfig{WALPath: path, Source: src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		_, err = c.Wait(ctx, 0)
+		cancel()
+		c.Close()
+		if err == nil || !strings.Contains(err.Error(), "factory exploded") {
+			t.Fatalf("replayed job ended with %v, want the factory's panic", err)
+		}
+	}
+}
+
 // TestLeaseExpiryAndRetry drives the failure paths on a fake clock: an
 // expired lease re-leases to another worker without burning an attempt,
 // failed attempts back off, and MaxAttempts fails the job.
@@ -784,7 +852,7 @@ func TestLeaseExpiryAndRetry(t *testing.T) {
 	}
 
 	// First failure: backoff gates the next lease, then it reopens.
-	job, shard, err := taskIDs(task2)
+	job, shard, _, err := wire.ShardIDs(task2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -833,7 +901,7 @@ func TestLeaseExpiryAndRetry(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("attempt %d lease: ok=%v err=%v", i, ok, err)
 		}
-		job, shard, _ := taskIDs(task)
+		job, shard, _, _ := wire.ShardIDs(task)
 		if err := c.FailShard("w-flaky", job, shard, "persistent"); err != nil {
 			t.Fatal(err)
 		}
@@ -880,7 +948,7 @@ func TestRetryBackoffSurvivesRestart(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("lease: ok=%v err=%v", ok, err)
 	}
-	job, shard, err := taskIDs(task)
+	job, shard, _, err := wire.ShardIDs(task)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"easeio/internal/check"
 )
 
 // FuzzDecodeWALRecord drives the WAL record decoder with arbitrary
@@ -16,7 +18,7 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	for _, r := range []record{
 		{Type: recSubmit, Job: 3, Spec: Spec{Mode: ModeCheck, App: "fig6", Runtime: "Alpaca",
 			Seed: 17, Off: 3 * time.Millisecond, Failures: 2, Shards: 4, ShardWorkers: 2}},
-		{Type: recPlan, Job: 3, HasPlan: true, Plan: planHeader{App: "fig6-app", Runtime: "Alpaca",
+		{Type: recPlan, Job: 3, Plan: &check.Plan{App: "fig6-app", Runtime: "Alpaca",
 			GoldenOnTime: time.Second, GoldenCorrect: true, Candidates: 9},
 			Shards: [][2]int{{0, 1}, {1, 2}}, Level1: []byte{0xA}, Tasks: [][]byte{{1}, {2, 3}}},
 		{Type: recLease, Job: 3, Shard: 1, Worker: "w0", At: 12345},

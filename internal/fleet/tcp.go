@@ -233,7 +233,7 @@ func workConn(ctx context.Context, cl *tcpClient, src BlueprintSource, poll time
 			if ctx.Err() != nil {
 				return
 			}
-			job, shard, idErr := taskIDs(task)
+			job, shard, _, idErr := wire.ShardIDs(task)
 			if idErr != nil {
 				return
 			}

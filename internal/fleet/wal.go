@@ -21,6 +21,7 @@ import (
 	"os"
 	"time"
 
+	"easeio/internal/check"
 	"easeio/internal/wire"
 )
 
@@ -66,12 +67,13 @@ type record struct {
 
 	Spec Spec // recSubmit
 
-	// recPlan: the shard ranges, plus the check plan header when the
-	// job is a check (sweep plans are fully determined by the spec, but
-	// a check plan carries the golden pass's outputs).
-	Shards  [][2]int
-	HasPlan bool
-	Plan    planHeader
+	// recPlan: the shard ranges, plus the golden pass's plan when the
+	// job is a check (sweep plans are fully determined by the spec), so
+	// recovery rebuilds the report header without re-running golden.
+	// Seed and Failures are not journaled: replay fills them from the
+	// spec.
+	Shards [][2]int
+	Plan   *check.Plan
 	// Level1/Tasks are set for subtree-sharded nested check plans:
 	// Level1 is the coordinator's completed level-1 exploration (an
 	// encoded wire.CheckResult) and Tasks the pre-encoded subtree shard
@@ -88,22 +90,6 @@ type record struct {
 	Payload []byte   // recShardDone (shard result), recJobDone (merged result)
 	Errs    []string // recJobDone: flattened per-run sweep errors
 	Err     string   // recShardFail, recJobFail
-}
-
-// planHeader is the golden-pass output a check job's recPlan persists,
-// so recovery rebuilds the report skeleton without re-running golden.
-// App and Runtime are the *report* names (the blueprint's App.Name and
-// the runtime label), which need not equal the spec's registry key.
-type planHeader struct {
-	App     string
-	Runtime string
-	// Off is the checker's filled off-time (the spec may leave it zero
-	// and take check's default; the report header shows the real value).
-	Off           time.Duration
-	GoldenOnTime  time.Duration
-	GoldenCorrect bool
-	Candidates    int
-	Note          string
 }
 
 // encode renders the record as a frame payload: the type byte followed
@@ -128,8 +114,8 @@ func (r record) encode() []byte {
 		b = wire.AppendVarint(b, int64(s.Shards))
 		b = wire.AppendVarint(b, int64(s.ShardWorkers))
 	case recPlan:
-		b = wire.AppendBool(b, r.HasPlan)
-		if r.HasPlan {
+		b = wire.AppendBool(b, r.Plan != nil)
+		if r.Plan != nil {
 			b = wire.AppendString(b, r.Plan.App)
 			b = wire.AppendString(b, r.Plan.Runtime)
 			b = wire.AppendVarint(b, int64(r.Plan.Off))
@@ -199,17 +185,15 @@ func decodeRecord(b []byte) (record, error) {
 		r.Spec.Shards = int(d.Varint())
 		r.Spec.ShardWorkers = int(d.Varint())
 	case recPlan:
-		r.HasPlan = d.Bool()
-		if r.HasPlan {
-			r.Plan = planHeader{
-				App:           d.String(),
-				Runtime:       d.String(),
-				Off:           time.Duration(d.Varint()),
-				GoldenOnTime:  time.Duration(d.Varint()),
-				GoldenCorrect: d.Bool(),
-				Candidates:    int(d.Varint()),
-				Note:          d.String(),
-			}
+		if d.Bool() {
+			r.Plan = new(check.Plan)
+			r.Plan.App = d.String()
+			r.Plan.Runtime = d.String()
+			r.Plan.Off = time.Duration(d.Varint())
+			r.Plan.GoldenOnTime = time.Duration(d.Varint())
+			r.Plan.GoldenCorrect = d.Bool()
+			r.Plan.Candidates = int(d.Varint())
+			r.Plan.Note = d.String()
 		}
 		n := d.Uvarint()
 		if d.Err() == nil && n > uint64(d.Remaining()) {

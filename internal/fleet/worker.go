@@ -23,8 +23,15 @@ import (
 // the encoded shard result. Per-run failures inside a sweep shard are not errors here —
 // they travel inside the SweepResult exactly as the in-process engine
 // folds them into its joined error. An error return means the shard
-// itself could not run and should be failed back to the coordinator.
-func ExecuteShard(ctx context.Context, src BlueprintSource, task []byte) ([]byte, error) {
+// itself could not run and should be failed back to the coordinator; a
+// panic while running it is such an error (an experiments.PanicError),
+// so a broken app or runtime fails its shard, never the worker.
+func ExecuteShard(ctx context.Context, src BlueprintSource, task []byte) (_ []byte, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = experiments.PanicError{Value: v, What: "shard task " + wire.PeekKind(task).String()}
+		}
+	}()
 	switch kind := wire.PeekKind(task); kind {
 	case wire.KindSweepShard:
 		s, err := wire.DecodeSweepShard(task)
@@ -138,31 +145,6 @@ func flattenErr(err error) []string {
 	return []string{err.Error()}
 }
 
-// taskIDs peeks a task's job and shard, for failure reporting.
-func taskIDs(task []byte) (uint64, int, error) {
-	switch wire.PeekKind(task) {
-	case wire.KindSweepShard:
-		s, err := wire.DecodeSweepShard(task)
-		if err != nil {
-			return 0, 0, err
-		}
-		return s.Job, s.Shard, nil
-	case wire.KindCheckShard:
-		s, err := wire.DecodeCheckShard(task)
-		if err != nil {
-			return 0, 0, err
-		}
-		return s.Job, s.Shard, nil
-	case wire.KindSubtreeShard:
-		s, err := wire.DecodeSubtreeShard(task)
-		if err != nil {
-			return 0, 0, err
-		}
-		return s.Job, s.Shard, nil
-	}
-	return 0, 0, fmt.Errorf("fleet: task is %v, want a shard", wire.PeekKind(task))
-}
-
 // RunLoopback polls the coordinator for shards, executes them, and
 // reports results until ctx is cancelled. It returns nil on
 // cancellation; any other return is a coordinator-side failure (WAL
@@ -194,7 +176,7 @@ func RunLoopback(ctx context.Context, c *Coordinator, name string, src Blueprint
 				// lease and let the TTL recycle it.
 				return nil
 			}
-			job, shard, idErr := taskIDs(task)
+			job, shard, _, idErr := wire.ShardIDs(task)
 			if idErr != nil {
 				return idErr
 			}

@@ -145,7 +145,8 @@ func (j *Job) State() State { return State(j.state.Load()) }
 
 // Progress returns finished and total counts: seeds for a sweep job,
 // explored and planned failure points for a check job (planned grows as
-// the bisection schedules more rounds).
+// a nested check expands subtrees below level 1), and shards in fleet
+// mode.
 func (j *Job) Progress() (done, total int) {
 	return int(j.done.Load()), int(j.total.Load())
 }
@@ -789,6 +790,10 @@ func (m *Manager) runCheckJob(j *Job) {
 		m.metrics.JobsCancelled.Add(1)
 		j.finalize(Cancelled, stats.Summary{}, j.ctx.Err().Error())
 	case err != nil:
+		var pe experiments.PanicError
+		if errors.As(err, &pe) {
+			m.metrics.JobsPanicked.Add(1)
+		}
 		m.metrics.JobsFailed.Add(1)
 		j.finalize(Failed, stats.Summary{}, err.Error())
 	default:

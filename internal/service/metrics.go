@@ -188,7 +188,7 @@ func (m *Metrics) WriteTo(w io.Writer, queueDepth, running int) {
 	counter("easeio_jobs_completed_total", "Sweep jobs that succeeded.", m.JobsCompleted.Load())
 	counter("easeio_jobs_failed_total", "Sweep jobs that failed (including panics).", m.JobsFailed.Load())
 	counter("easeio_jobs_cancelled_total", "Sweep jobs cancelled before completion.", m.JobsCancelled.Load())
-	counter("easeio_jobs_panicked_total", "Sweep jobs terminated by a recovered panic.", m.JobsPanicked.Load())
+	counter("easeio_jobs_panicked_total", "Jobs terminated by a recovered panic.", m.JobsPanicked.Load())
 	counter("easeio_runs_completed_total", "Seeded simulation runs finished across all jobs.", m.RunsCompleted.Load())
 	counter("easeio_check_points_total", "Failure points explored by check-mode jobs.", m.CheckPoints.Load())
 	counter("easeio_check_divergences_total", "Explored failure points that diverged from the golden run.", m.CheckDivergences.Load())

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -23,6 +24,10 @@ import (
 	"easeio/internal/apps"
 	"easeio/internal/check"
 	"easeio/internal/experiments"
+	"easeio/internal/fleet"
+	"easeio/internal/frontend"
+	"easeio/internal/kernel"
+	"easeio/internal/task"
 )
 
 func newTestStack(t *testing.T, queueSize, workers int) (*Manager, *Registry, *Metrics, *httptest.Server) {
@@ -311,44 +316,96 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestJobPanicIsolation routes a panicking factory through a job: the
-// job fails, the worker and server survive.
+// reexecBoom builds a one-task app whose task panics when it runs again
+// after a power failure: the golden continuous-power pass completes, and
+// every checker replay panics inside the re-executed task.
+func reexecBoom() (*apps.Bench, error) {
+	a := task.NewApp("reexec-boom")
+	a.AddTask("work", func(e task.Exec) {
+		// The front-end's analysis pass runs the body on its own Exec.
+		if c, ok := e.(*kernel.Ctx); ok && c.Dev.Run.PowerFailures > 0 {
+			panic("task re-executed")
+		}
+		e.Compute(2000)
+		e.Done()
+	})
+	if err := frontend.Analyze(a); err != nil {
+		return nil, err
+	}
+	return &apps.Bench{App: a}, nil
+}
+
+// TestJobPanicIsolation routes panicking apps through jobs — a factory
+// that panics in a sweep, and a task that panics on re-execution in a
+// check, whose replays run on worker goroutines in process and on a
+// loopback worker in fleet mode: the job fails, and the job worker, the
+// fleet worker and the server survive to run the next job.
 func TestJobPanicIsolation(t *testing.T) {
-	reg := NewRegistry()
-	if err := reg.Register("boom", func() (*apps.Bench, error) { panic("factory exploded") }); err != nil {
-		t.Fatal(err)
-	}
-	if err := RegisterPaperBenches(reg); err != nil {
-		t.Fatal(err)
-	}
-	metrics := NewMetrics()
-	mgr := NewManager(reg, metrics, 4, 1)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		mgr.Shutdown(ctx)
-	}()
+	for _, tc := range []struct {
+		name  string
+		fleet bool
+		spec  JobSpec
+	}{
+		{"sweep factory", false, JobSpec{App: "boom", Runtime: "EaseIO", Runs: 4}},
+		{"check replay", false, JobSpec{App: "reexec-boom", Runtime: "EaseIO", Mode: "check"}},
+		{"fleet check replay", true, JobSpec{App: "reexec-boom", Runtime: "EaseIO", Mode: "check"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := NewRegistry()
+			if err := reg.Register("boom", func() (*apps.Bench, error) { panic("factory exploded") }); err != nil {
+				t.Fatal(err)
+			}
+			if err := reg.Register("reexec-boom", reexecBoom); err != nil {
+				t.Fatal(err)
+			}
+			if err := RegisterPaperBenches(reg); err != nil {
+				t.Fatal(err)
+			}
+			var opts []ManagerOption
+			if tc.fleet {
+				coord, err := fleet.New(fleet.CoordinatorConfig{
+					WALPath: filepath.Join(t.TempDir(), "panic.wal"), Source: reg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { coord.Close() })
+				startWorkers(t, coord, reg, 1)
+				opts = append(opts, WithFleet(coord))
+			}
+			metrics := NewMetrics()
+			mgr := NewManager(reg, metrics, 4, 1, opts...)
+			t.Cleanup(func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				mgr.Shutdown(ctx)
+			})
 
-	j, err := mgr.Submit(JobSpec{App: "boom", Runtime: "EaseIO", Runs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-j.Done()
-	if j.State() != Failed {
-		t.Fatalf("panicking job ended %s, want failed", j.State())
-	}
-	if got := metrics.JobsPanicked.Load(); got != 1 {
-		t.Errorf("panicked counter = %d, want 1", got)
-	}
+			j, err := mgr.Submit(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			awaitJob(t, j)
+			if j.State() != Failed {
+				t.Fatalf("panicking job ended %s, want failed", j.State())
+			}
+			if msg := j.Status().Error; !strings.Contains(msg, "panicked") {
+				t.Errorf("panicking job failed with %q, want the recovered panic", msg)
+			}
+			if got := metrics.JobsPanicked.Load(); !tc.fleet && got != 1 {
+				t.Errorf("panicked counter = %d, want 1", got)
+			}
 
-	// The single worker must still be alive to run the next job.
-	ok, err := mgr.Submit(JobSpec{App: "dma", Runtime: "EaseIO", Runs: 4, BaseSeed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-ok.Done()
-	if ok.State() != Succeeded {
-		t.Errorf("post-panic job ended %s: %s", ok.State(), ok.Status().Error)
+			// The single job worker (and the fleet worker) must still be
+			// alive to run the next job.
+			ok, err := mgr.Submit(JobSpec{App: "dma", Runtime: "EaseIO", Runs: 4, BaseSeed: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			awaitJob(t, ok)
+			if ok.State() != Succeeded {
+				t.Errorf("post-panic job ended %s: %s", ok.State(), ok.Status().Error)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"time"
 
 	"easeio/internal/check"
@@ -39,10 +40,9 @@ type CheckShard struct {
 	CutHi    int // candidate range [CutLo, CutHi); 0,0 = full range
 	Workers  int
 	// Failures is the nested-failure depth k (0 defaults to 1). A
-	// CheckShard runs the whole check in one piece, so a k > 1 job uses
-	// it only as the single full-range shard of a runtime that cannot
-	// checkpoint; other k > 1 jobs ship SubtreeShard work units instead
-	// (subtree.go).
+	// CheckShard runs the whole check in one piece; k > 1 jobs ship
+	// SubtreeShard work units instead (subtree.go), and a k > 1
+	// CheckShard survives only in logs journaled before them.
 	Failures int
 }
 
@@ -477,4 +477,33 @@ func DecodeReport(b []byte) (check.Report, error) {
 		return check.Report{}, d.trailing(n)
 	}
 	return r, nil
+}
+
+// ShardIDs fully decodes a shard task or shard result of any of the six
+// kinds and returns the job and shard it belongs to, and whether it is a
+// result. The decode is complete, not a header peek: a coordinator must
+// not journal a result it could not later merge.
+func ShardIDs(b []byte) (job uint64, shard int, result bool, err error) {
+	switch k := PeekKind(b); k {
+	case KindSweepShard:
+		s, err := DecodeSweepShard(b)
+		return s.Job, s.Shard, false, err
+	case KindCheckShard:
+		s, err := DecodeCheckShard(b)
+		return s.Job, s.Shard, false, err
+	case KindSubtreeShard:
+		s, err := DecodeSubtreeShard(b)
+		return s.Job, s.Shard, false, err
+	case KindSweepResult:
+		r, err := DecodeSweepResult(b)
+		return r.Job, r.Shard, true, err
+	case KindCheckResult:
+		r, err := DecodeCheckResult(b)
+		return r.Job, r.Shard, true, err
+	case KindSubtreeResult:
+		r, err := DecodeSubtreeResult(b)
+		return r.Job, r.Shard, true, err
+	default:
+		return 0, 0, false, fmt.Errorf("wire: message is %v, want a shard task or result", k)
+	}
 }

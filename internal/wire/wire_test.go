@@ -249,6 +249,36 @@ func TestShardLayoutFrozen(t *testing.T) {
 	}
 }
 
+// TestShardIDs covers the one job/shard reader over all six shard task
+// and result kinds: it reports the ids and whether the message is a
+// result, and rejects truncated messages (it decodes in full) and
+// messages of other kinds.
+func TestShardIDs(t *testing.T) {
+	for _, tc := range []struct {
+		msg    []byte
+		result bool
+	}{
+		{AppendSweepShard(nil, SweepShard{Job: 7, Shard: 3, App: "dma", Runtime: "EaseIO", Hi: 8}), false},
+		{AppendCheckShard(nil, CheckShard{Job: 7, Shard: 3, App: "fig6", Runtime: "InK"}), false},
+		{AppendSubtreeShard(nil, SubtreeShard{Job: 7, Shard: 3, App: "fig6", Runtime: "InK", Failures: 2}), false},
+		{AppendSweepResult(nil, SweepResult{Job: 7, Shard: 3}), true},
+		{AppendCheckResult(nil, CheckResult{Job: 7, Shard: 3, Explored: 4}), true},
+		{AppendSubtreeResult(nil, SubtreeResult{Job: 7, Shard: 3}), true},
+	} {
+		kind := PeekKind(tc.msg)
+		job, shard, result, err := ShardIDs(tc.msg)
+		if err != nil || job != 7 || shard != 3 || result != tc.result {
+			t.Errorf("%v: got job %d shard %d result %v err %v", kind, job, shard, result, err)
+		}
+		if _, _, _, err := ShardIDs(tc.msg[:len(tc.msg)-1]); err == nil {
+			t.Errorf("%v: truncated message accepted", kind)
+		}
+	}
+	if _, _, _, err := ShardIDs(AppendSummary(nil, stats.Summary{})); err == nil {
+		t.Error("summary message accepted as a shard")
+	}
+}
+
 // TestSummaryReportRoundTrip covers the WAL's merged-outcome payloads.
 func TestSummaryReportRoundTrip(t *testing.T) {
 	sum := stats.Summary{App: "temp", Runtime: "just-do", Runs: 100,
